@@ -3,7 +3,7 @@
 PYTHON ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: all install lint lint-json lint-github lint-contracts lint-concurrency lint-persistence lint-commute crash-surface replay-matrix sweep sweep-smoke test bench bench-obs bench-hotpath bench-hotpath-check hotpath-baseline experiments examples verify clean
+.PHONY: all install lint lint-json lint-github crash-surface sweep sweep-smoke test bench bench-obs bench-hotpath bench-hotpath-check hotpath-baseline perfbench perfbench-smoke experiments examples verify clean
 
 # Default flow: static analysis first (fast), then the tier-1 suite.
 all: lint test
@@ -18,47 +18,16 @@ lint-json:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis src/repro --fail-on-findings --format=json
 
 # GitHub workflow-command annotations: findings render inline on the PR
-# diff.  CI uses this for the main lint step; lint-json stays the
-# machine-readable ratchet format.
+# diff.  This is CI's one lint gate; lint-json is the machine-readable
+# format.  For one rule family locally, add `--select <family>`.
 lint-github:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis src/repro --fail-on-findings --format=github
 
-# One rule family alone, with the ratchet check: fails on any finding
-# not in raelint.baseline.json AND on baseline entries that no longer
-# fire (the baseline may only shrink).  `--select` resolves a family
-# name to every rule in it, so these targets never drift from the rule
-# registry.
-lint-contracts:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis src/repro --select contracts --check-baseline --fail-on-findings
-
-# The concurrency rules alone (same shape as lint-contracts): the race
-# detector and async-discipline checks for the parallel-recovery arc.
-lint-concurrency:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis src/repro --select concurrency --check-baseline --fail-on-findings
-
-# The crash-consistency ordering rules alone (same shape): the static
-# half of the durability story — flush barriers, declared persistence
-# protocols, and fault-hook coverage of every persistence point.
-lint-persistence:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis src/repro --select persistence --check-baseline --fail-on-findings
-
-# The replay-commutativity rules alone (same shape): footprint parity
-# against the reviewed spec, vocabulary coverage of every write, and
-# shard isolation — the static half of sharded replay.
-lint-commute:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis src/repro --select commute --check-baseline --fail-on-findings
-
-# Regenerate the committed crash-surface catalog (ROADMAP item 3's
-# sweep work-list).  CI runs this and fails on `git diff` drift, so the
+# Regenerate the committed crash-surface catalog (the sweep's
+# work-list).  CI runs this and fails on `git diff` drift, so the
 # catalog can never silently fall behind the code.
 crash-surface:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis src/repro --emit-crash-surface crashpoints.json
-
-# Regenerate the committed replay matrix (ROADMAP item 4's shard
-# surface).  Same drift discipline as crash-surface: CI re-emits and
-# fails on `git diff`.
-replay-matrix:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis src/repro --emit-replay-matrix replaymatrix.json
 
 # Execute the full crash-point sweep: every (op, point) pair of the
 # committed catalog, both crash kinds, drift-checked work-list, exit 1
@@ -85,9 +54,9 @@ bench-obs:
 	$(PYTHONPATH_SRC) BENCH_OBS_PATH=BENCH_obs.json $(PYTHON) -m pytest benchmarks/test_ablation_obs_overhead.py --benchmark-only -q -s
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.obs.check BENCH_obs.json
 
-# The hot-path throughput artifact (ROADMAP item 2): run every mix via
-# rae-bench, then FAIL (not skip) if BENCH_hotpath.json is missing or
-# malformed — same schema-gate discipline as bench-obs.
+# The hot-path throughput artifact: run every mix via rae-bench, then
+# FAIL (not skip) if BENCH_hotpath.json is missing or malformed — same
+# schema-gate discipline as bench-obs.
 bench-hotpath:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.bench --out BENCH_hotpath.json
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.obs.check BENCH_hotpath.json
@@ -101,6 +70,17 @@ bench-hotpath-check:
 # Commit the result — CI compares every run against it.
 hotpath-baseline:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.bench --out BENCH_hotpath.json --update-baseline
+
+# The repository's benchmark (BENCHMARK.json): every performance claim
+# is a (metric, workload) pair from perfbench/README.md.  The smoke run
+# keeps the oracle and the power-loss durability pass on and exits
+# non-zero on any failed check.
+perfbench:
+	python3 perfbench/run.py --seed 11
+
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench/tests -q
+	python3 perfbench/run.py --smoke --seed 11
 
 experiments:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q -s

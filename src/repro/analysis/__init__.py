@@ -14,7 +14,7 @@ reaches a fault-injection run.
 Library API::
 
     from repro.analysis import analyze_tree
-    report = analyze_tree("src/repro", baseline="raelint.baseline.json")
+    report = analyze_tree("src/repro")
     assert report.clean, report.summary()
 
 CLI::
@@ -22,10 +22,9 @@ CLI::
     python -m repro.analysis src/repro --fail-on-findings
 
 See docs/STATIC_ANALYSIS.md for the rule catalog, suppression syntax
-(``# raelint: disable=RULE-ID``), and baseline workflow.
+(``# raelint: disable=RULE-ID``), and focused-run options.
 """
 
-from repro.analysis.baseline import BASELINE_FILENAME, Baseline
 from repro.analysis.engine import (
     Analyzer,
     FileRule,
@@ -41,8 +40,6 @@ from repro.analysis.rules import RULE_CLASSES, default_rules
 __all__ = [
     "Analyzer",
     "analyze_tree",
-    "Baseline",
-    "BASELINE_FILENAME",
     "FileRule",
     "Finding",
     "ParsedModule",

@@ -4,17 +4,15 @@
 
 Analyzes ROOT (default ``src/repro``) with the full rule set, reports
 findings, and — with ``--fail-on-findings`` — exits nonzero when any
-finding is not covered by the baseline.  ``--write-baseline`` accepts
-the current findings as the new ratchet; ``--format=json`` emits a
+finding survives inline suppression.  ``--format=json`` emits a
 machine-readable report for CI.
 
 ``--changed-only`` narrows *reporting* to files touched in the working
 tree (``git diff HEAD`` plus untracked files): project rules still
 analyze every module — cross-file invariants need the full set — but
 only findings in changed files are reported, which keeps pre-commit
-runs fast and focused.  ``--select`` narrows the rule set by id, and
-``--check-baseline`` verifies the ratchet: every baseline entry must
-still fire, so the baseline can only shrink, never quietly pad.
+runs fast and focused.  ``--select`` narrows the rule set by rule id or
+family name.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis.baseline import BASELINE_FILENAME, Baseline
-from repro.analysis.commute import CommuteConfigError
 from repro.analysis.concurrency import ConcurrencyConfigError
 from repro.analysis.engine import Analyzer
 from repro.analysis.findings import Finding
@@ -35,7 +31,7 @@ from repro.analysis.rules import default_rules, rule_families
 from repro.util import atomic_write_json
 
 
-def _github_annotation(finding: Finding, root: Path, baselined: bool) -> str:
+def _github_annotation(finding: Finding, root: Path) -> str:
     """One GitHub workflow command per finding.
 
     The ``file=`` property must be repo-relative for GitHub to anchor
@@ -44,16 +40,10 @@ def _github_annotation(finding: Finding, root: Path, baselined: bool) -> str:
     (CI invokes raelint from the repo root with ``src/repro``).
     Newlines in messages would terminate the command early — GitHub's
     escaping convention is URL-encoding them.
-
-    Baselined findings render as ``::notice`` rather than ``::error``:
-    they are known debt the ratchet already tracks, and a PR diff should
-    only scream about findings the PR itself introduced.
     """
     path = finding.path if root.is_file() else (root / finding.path).as_posix()
     message = finding.message.replace("%", "%25").replace("\r", "%0D").replace("\n", "%0A")
-    title = finding.rule_id + (" (baselined)" if baselined else "")
-    level = "notice" if baselined else "error"
-    return f"::{level} file={path},line={finding.line},title={title}::{message}"
+    return f"::error file={path},line={finding.line},title={finding.rule_id}::{message}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,22 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory (or single file) to analyze [default: src/repro]",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help=f"baseline file [default: ./{BASELINE_FILENAME} if present]",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="accept all current findings into the baseline file and exit",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="regenerate the baseline from current findings, dropping entries "
-        "that no longer fire (the ratchet only moves down)",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json", "github"),
         default="text",
@@ -94,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fail-on-findings",
         action="store_true",
-        help="exit 1 when findings not covered by the baseline exist",
+        help="exit 1 when any finding is reported",
     )
     parser.add_argument(
         "--list-rules",
@@ -112,14 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULE[,RULE...]",
         help="run only the named rules; each token is a rule id or a "
-        "family name (core, contracts, concurrency, persistence, "
-        "commute) selecting every rule in it (comma-separated)",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="fail if any baseline entry no longer fires (the ratchet "
-        "must only move down)",
+        "family name (core, contracts, concurrency, persistence) "
+        "selecting every rule in it (comma-separated)",
     )
     parser.add_argument(
         "--changed-since",
@@ -136,15 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="build the persistence model and write the crash-surface "
         "catalog (op -> ordered persistence points -> covering hook) as "
         "schema-checked JSON to PATH, then exit",
-    )
-    parser.add_argument(
-        "--emit-replay-matrix",
-        default=None,
-        metavar="PATH",
-        help="build the commute model and write the replay matrix "
-        "(per-op component footprints + a commute/conditional/conflict "
-        "verdict for every op pair) as schema-checked JSON to PATH, "
-        "then exit",
     )
     return parser
 
@@ -197,10 +156,7 @@ def _changed_paths(root: Path, since: str | None = None) -> set[str] | None:
             continue
         candidate = (Path(top) / line).resolve()
         if not candidate.is_file():
-            # Deleted (or renamed-away) in the working tree: nothing to
-            # analyze, and --check-baseline must not judge its baseline
-            # entries stale — the deletion commit is what ratchets them.
-            continue
+            continue  # deleted or renamed away: nothing to analyze
         if resolved_root.is_file():
             if candidate == resolved_root:
                 changed.add(resolved_root.name)  # matches Analyzer._relpath
@@ -213,25 +169,14 @@ def _changed_paths(root: Path, since: str | None = None) -> set[str] | None:
     return changed
 
 
-def _emitter_modules(root: Path):
-    """Parse the FULL tree for a surface emitter, or ``None`` after
-    reporting parse errors.
-
-    Emitters deliberately ignore ``--changed-only``/``--changed-since``:
-    the committed artifacts describe whole-tree surfaces, and a scoped
-    emission would silently drop every op or point whose code happens to
-    be unchanged — the output must be byte-identical however the run is
-    scoped."""
-    modules, parse_errors = Analyzer(root).parse_all()
-    if parse_errors:
-        for finding in parse_errors:
-            print(finding.render(), file=sys.stderr)
-        return None
-    return modules
-
-
 def _emit_crash_surface(root: Path, target: Path) -> int:
     """Build the persistence model and write the crash-surface catalog.
+
+    Always parses the FULL tree, ignoring ``--changed-only`` and
+    ``--changed-since``: the committed artifact describes a whole-tree
+    surface, and a scoped emission would silently drop every op or point
+    whose code happens to be unchanged — the output must be
+    byte-identical however the run is scoped.
 
     The write is atomic and validated before it lands, so an interrupted
     or misconfigured run can never truncate or corrupt the committed
@@ -242,8 +187,10 @@ def _emit_crash_surface(root: Path, target: Path) -> int:
         validate_crash_surface,
     )
 
-    modules = _emitter_modules(root)
-    if modules is None:
+    modules, parse_errors = Analyzer(root).parse_all()
+    if parse_errors:
+        for finding in parse_errors:
+            print(finding.render(), file=sys.stderr)
         return 2
     try:
         model = model_for(modules)
@@ -264,55 +211,6 @@ def _emit_crash_surface(root: Path, target: Path) -> int:
         f"across {len(payload['ops'])} op(s) -> {target}"
     )
     return 0
-
-
-def _emit_replay_matrix(root: Path, target: Path) -> int:
-    """Build the commute model and write the replay matrix (the shard
-    surface: per-op footprints and pairwise replay verdicts)."""
-    from repro.analysis.commute import model_for
-    from repro.analysis.commute.surface import (
-        build_replay_matrix,
-        validate_replay_matrix,
-    )
-
-    modules = _emitter_modules(root)
-    if modules is None:
-        return 2
-    try:
-        model = model_for(modules)
-    except CommuteConfigError as error:
-        print(f"raelint: commute spec error: {error}", file=sys.stderr)
-        return 2
-    if model is None:
-        print(
-            "raelint: --emit-replay-matrix needs a spec/commute.py in the analyzed tree",
-            file=sys.stderr,
-        )
-        return 2
-    payload = build_replay_matrix(model)
-    validate_replay_matrix(payload)
-    atomic_write_json(target, payload)
-    verdicts = [pair["verdict"] for pair in payload["pairs"].values()]
-    print(
-        f"raelint: replay matrix: {len(payload['ops'])} op(s), "
-        f"{len(verdicts)} pair(s) "
-        f"({verdicts.count('commute')} commute, "
-        f"{verdicts.count('conditional-on-disjoint-subtree')} conditional, "
-        f"{verdicts.count('conflict')} conflict) -> {target}"
-    )
-    return 0
-
-
-def _resolve_baseline_path(args: argparse.Namespace, root: Path) -> Path:
-    if args.baseline:
-        return Path(args.baseline)
-    cwd_candidate = Path.cwd() / BASELINE_FILENAME
-    if cwd_candidate.exists():
-        return cwd_candidate
-    root_candidate = root / BASELINE_FILENAME
-    if root_candidate.exists():
-        return root_candidate
-    return cwd_candidate
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -351,13 +249,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"raelint: no such path: {root}", file=sys.stderr)
         return 2
 
-    # Surface emitters run before --changed-only is even computed: the
-    # committed artifacts are whole-tree surfaces, so emission must be
-    # byte-identical however the run is scoped (see _emitter_modules).
+    # The surface emitter runs before --changed-only is even computed:
+    # the committed artifact is a whole-tree surface, so emission must be
+    # byte-identical however the run is scoped.
     if args.emit_crash_surface:
         return _emit_crash_surface(root, Path(args.emit_crash_surface))
-    if args.emit_replay_matrix:
-        return _emit_replay_matrix(root, Path(args.emit_replay_matrix))
 
     only_paths: set[str] | None = None
     if args.changed_since and not args.changed_only:
@@ -372,81 +268,38 @@ def main(argv: list[str] | None = None) -> int:
             print("raelint: no changed files under the analyzed root")
             return 0
 
-    baseline_path = _resolve_baseline_path(args, root)
-    baseline = Baseline.load(baseline_path)
     try:
-        report = Analyzer(root, rules=rules, baseline=baseline, only_paths=only_paths).run()
-    except (ConcurrencyConfigError, PersistenceConfigError, CommuteConfigError) as error:
-        # A spec/concurrency.py, spec/persistence.py, or spec/commute.py
-        # declaration that cannot bind is a broken configuration, not a
-        # finding: report it like a bad --select.
+        report = Analyzer(root, rules=rules, only_paths=only_paths).run()
+    except (ConcurrencyConfigError, PersistenceConfigError) as error:
+        # A spec/concurrency.py or spec/persistence.py declaration that
+        # cannot bind is a broken configuration, not a finding: report
+        # it like a bad --select.
         family = {
             PersistenceConfigError: "persistence",
             ConcurrencyConfigError: "concurrency",
-            CommuteConfigError: "commute",
         }[type(error)]
         print(f"raelint: {family} spec error: {error}", file=sys.stderr)
         return 2
 
-    if args.write_baseline or args.update_baseline:
-        updated = Baseline.from_findings(report.findings)
-        if args.update_baseline:
-            added = len(updated.entries - baseline.entries)
-            dropped = len(baseline.entries - updated.entries)
-            updated.save(baseline_path)
-            print(
-                f"raelint: baseline updated at {baseline_path}: "
-                f"{len(updated)} entr{'y' if len(updated) == 1 else 'ies'} "
-                f"(+{added} new, -{dropped} no longer firing)"
-            )
-        else:
-            updated.save(baseline_path)
-            print(f"raelint: wrote {len(report.findings)} finding(s) to {baseline_path}")
-        return 0
-
-    if args.check_baseline:
-        fired = {finding.baseline_key() for finding in report.findings}
-        selected_rules = {rule.rule_id for rule in rules}
-        stale = sorted(
-            entry
-            for entry in baseline.entries
-            # Only judge entries this run could have reproduced: a
-            # --select/--changed-only run must not call out-of-scope
-            # entries stale.
-            if entry[1] in selected_rules
-            and (only_paths is None or entry[0] in only_paths)
-            and entry not in fired
-        )
-        if stale:
-            for path, rule_id, message in stale:
-                print(f"raelint: stale baseline entry: {path} [{rule_id}] {message}")
-            print(
-                f"raelint: {len(stale)} baseline entr"
-                f"{'y' if len(stale) == 1 else 'ies'} no longer fire(s); "
-                f"run --update-baseline to ratchet down"
-            )
-            return 1
-
     if args.format == "github":
-        new = set(report.new_findings)
         for finding in report.findings:
-            print(_github_annotation(finding, root, baselined=finding not in new))
+            print(_github_annotation(finding, root))
         print(report.summary())
     elif args.format == "json":
+        findings = [f.to_json() for f in report.findings]
         payload = {
             "files": report.files,
-            "findings": [f.to_json() for f in report.findings],
-            "new": [f.to_json() for f in report.new_findings],
+            "findings": findings,
+            # Every reported finding fails the gate; the key stays for
+            # consumers of the report format.
+            "new": findings,
             "suppressed": report.suppressed,
-            "baselined": report.baselined,
             "clean": report.clean,
         }
         print(json.dumps(payload, indent=2))
     else:
-        new = set(report.new_findings)
         for finding in report.findings:
-            tag = "" if finding in new else " (baselined)"
-            print(finding.render() + tag)
+            print(finding.render())
         print(report.summary())
 
     if args.fail_on_findings and not report.clean:

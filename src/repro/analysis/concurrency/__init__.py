@@ -1,15 +1,14 @@
 """Concurrency-safety analysis for raelint — the fourth analysis layer.
 
-The ROADMAP's next arc is explicitly concurrent: an asyncio multi-tenant
-front-end over the supervisor, sharded replay and parallel fsck, and
-multi-volume federation.  None of that parallelism touches the shadow —
-SHADOW-PURITY keeps it sequential and import-clean by construction,
-which is the paper's trust argument — but the *supervisor side* grows
-threads, executor pools, and event loops, and those need the same
-"verified at lint time" treatment the first five PRs gave purity, lock
-discipline, and contracts.
+The supervisor side is single-threaded today; the shadow stays
+sequential and import-clean by construction (SHADOW-PURITY), which is
+the paper's trust argument.  This layer keeps supervisor state under a
+race detector from now on, so the first thread, executor pool, or event
+loop that reaches it meets declared guards instead of a retrofit — the
+same "verified at lint time" treatment purity, lock discipline, and
+contracts get.
 
-Three pieces, layered on the PR 2 CFG/dataflow/call-graph machinery:
+Three pieces, layered on the CFG/dataflow/call-graph machinery:
 
 * :mod:`repro.analysis.concurrency.declared` — extraction of the
   declared concurrency spec from ``spec/concurrency.py``: the
@@ -24,8 +23,8 @@ Three pieces, layered on the PR 2 CFG/dataflow/call-graph machinery:
   ``submit`` calls, asyncio task creation, and the declared registry,
   then collects every attribute access site on a shared class together
   with the Eraser-style may-held lockset at that site.
-* the four consuming rules in :mod:`repro.analysis.rules` —
-  RACE-LOCKSET, ATOMIC-RMW, ASYNC-BLOCKING, and AWAIT-HOLDING-LOCK.
+* the two consuming rules in :mod:`repro.analysis.rules` —
+  RACE-LOCKSET and ATOMIC-RMW.
 """
 
 from __future__ import annotations
@@ -39,11 +38,8 @@ from repro.analysis.concurrency.declared import (
 from repro.analysis.concurrency.model import (
     AccessSite,
     SharedStateModel,
-    apply_guard_call,
-    lockset_at,
     model_for,
     norm_token,
-    with_lock_tokens,
 )
 
 __all__ = [
@@ -52,10 +48,7 @@ __all__ = [
     "ConcurrencyDecls",
     "GUARD_SINGLE_THREADED",
     "SharedStateModel",
-    "apply_guard_call",
     "declared_concurrency",
-    "lockset_at",
     "model_for",
     "norm_token",
-    "with_lock_tokens",
 ]

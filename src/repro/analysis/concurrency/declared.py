@@ -13,8 +13,7 @@ Two literals are recognized:
   registry complements the model's *inferred* seeds (``threading.Thread``
   targets, executor submits, asyncio task creation): registering a class
   turns the checks on **before** the concurrent caller lands, which is
-  the whole point — the parallel-recovery arc inherits a race detector
-  on day one.
+  the whole point — that caller inherits a race detector on day one.
 * ``GUARDED_BY`` — ``{"Class.attr": "lock token"}``.  The token names
   the lock that must be in the may-held lockset at every write of the
   attribute (``"self._lock"`` matches both ``self._lock.acquire()`` /

@@ -142,21 +142,14 @@ def own_nodes(func: ast.FunctionDef | ast.AsyncFunctionDef) -> Iterator[ast.AST]
         stack.extend(ast.iter_child_nodes(node))
 
 
-def with_lock_tokens(
-    module: ParsedModule, node: ast.AST, include_async: bool = True
-) -> frozenset[str]:
-    """Normalized tokens of lock-ish ``with`` context managers lexically
-    enclosing ``node`` within its function.  ``include_async=False``
-    restricts to sync ``with`` — AWAIT-HOLDING-LOCK uses that, because
-    holding an ``asyncio.Lock`` across an await is the intended idiom."""
+def with_lock_tokens(module: ParsedModule, node: ast.AST) -> frozenset[str]:
+    """Normalized tokens of lock-ish ``with``/``async with`` context
+    managers lexically enclosing ``node`` within its function."""
     tokens: set[str] = set()
     for ancestor in module.ancestors(node):
         if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             break
-        is_with = isinstance(ancestor, ast.With) or (
-            include_async and isinstance(ancestor, ast.AsyncWith)
-        )
-        if is_with:
+        if isinstance(ancestor, (ast.With, ast.AsyncWith)):
             for item in ancestor.items:
                 if lock_receiver(item.context_expr):
                     tokens.add(norm_token(ast.unparse(item.context_expr)))

@@ -3,7 +3,7 @@
 The engine parses every ``.py`` file under an analysis root into a
 :class:`ParsedModule` (source, AST, parent links, inline suppressions),
 runs two kinds of rules over them, and folds the results through the
-inline-suppression and baseline filters:
+inline-suppression filter:
 
 * :class:`FileRule` — examines one module at a time (purity, exception
   discipline, lock pairing);
@@ -15,9 +15,9 @@ Suppression syntax, modeled on the usual linter convention::
     self.hooks.fire(name)  # raelint: disable=HOOK-REGISTRY — reason
 
 A directive on a comment-only line applies to the next line instead; the
-id ``all`` disables every rule for that line.  Suppressions silence a
-finding at its site; the baseline (:mod:`repro.analysis.baseline`)
-accepts findings centrally without touching the flagged code.
+id ``all`` disables every rule for that line.  A finding is either
+fixed or suppressed at its site with its argument; there is no central
+accept-list.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding, Severity
 
 _SUPPRESS_RE = re.compile(r"#\s*raelint:\s*disable=([A-Za-z0-9_\-, ]+)")
@@ -151,8 +150,8 @@ class Rule:
     severity: Severity = Severity.ERROR
     description: str = ""
     #: Rule family (``core``, ``contracts``, ``concurrency``,
-    #: ``persistence``, ``commute``): ``--select`` accepts a family name
-    #: as shorthand for every rule in it.
+    #: ``persistence``): ``--select`` accepts a family name as shorthand
+    #: for every rule in it.
     family: str = "core"
     _context: RuleContext | None = None
 
@@ -194,20 +193,20 @@ class Report:
 
     files: int = 0
     findings: list[Finding] = field(default_factory=list)  # post-suppression
-    new_findings: list[Finding] = field(default_factory=list)  # not in baseline
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def clean(self) -> bool:
-        return not self.new_findings
+        return not self.findings
 
     def summary(self) -> str:
+        # Every reported finding fails the gate, so "new" repeats the
+        # count; the line's shape is kept for whoever parses it.
         return (
             f"raelint: {self.files} files analyzed, "
             f"{len(self.findings)} findings "
-            f"({self.suppressed} suppressed inline, {self.baselined} baselined), "
-            f"{len(self.new_findings)} new"
+            f"({self.suppressed} suppressed inline), "
+            f"{len(self.findings)} new"
         )
 
 
@@ -216,21 +215,19 @@ class Analyzer:
 
     ``root`` may be a directory (analyzed recursively) or a single
     ``.py`` file.  Finding paths are relative to the directory root so
-    the baseline is stable no matter where the tool is invoked from.
+    reports are stable no matter where the tool is invoked from.
     """
 
     def __init__(
         self,
         root: str | Path,
         rules: Sequence[Rule] | None = None,
-        baseline: Baseline | None = None,
         only_paths: Iterable[str] | None = None,
     ):
         from repro.analysis.rules import default_rules
 
         self.root = Path(root)
         self.rules = list(rules) if rules is not None else default_rules()
-        self.baseline = baseline or Baseline()
         # Restrict *reporting* to these root-relative paths (None = all).
         # Project rules still parse and analyze the whole tree — cross-file
         # invariants are only meaningful over the full module set — but
@@ -290,7 +287,7 @@ class Analyzer:
         report = Report(files=len(modules) + len(parse_errors))
         by_module = {module.path: module for module in modules}
         # Explicit sort key: Severity is not orderable, and the report
-        # order must be stable for CI diffs and baseline regeneration.
+        # order must be stable for CI diffs.
         for finding in sorted(
             set(raw),
             key=lambda f: (f.path, f.line, f.rule_id, f.severity.value, f.message),
@@ -300,23 +297,9 @@ class Analyzer:
                 report.suppressed += 1
                 continue
             report.findings.append(finding)
-            if finding in self.baseline:
-                report.baselined += 1
-            else:
-                report.new_findings.append(finding)
         return report
 
 
-def analyze_tree(
-    root: str | Path,
-    baseline: str | Path | Baseline | None = None,
-    rules: Sequence[Rule] | None = None,
-) -> Report:
+def analyze_tree(root: str | Path, rules: Sequence[Rule] | None = None) -> Report:
     """Library entry point: analyze ``root`` and return the report."""
-    if baseline is None:
-        resolved: Baseline | None = None
-    elif isinstance(baseline, Baseline):
-        resolved = baseline
-    else:
-        resolved = Baseline.load(baseline)
-    return Analyzer(root, rules=rules, baseline=resolved).run()
+    return Analyzer(root, rules=rules).run()

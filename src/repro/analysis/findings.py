@@ -3,10 +3,7 @@
 A finding is one violation of one structural invariant: rule id,
 severity, location (path relative to the analyzed root, 1-based line),
 and a human-readable message.  Findings are value objects — the engine
-sorts, deduplicates, suppresses, and baselines them by content, so they
-are frozen and carry a stable :meth:`baseline_key` that deliberately
-excludes the line number (baselined findings should not churn when
-unrelated edits shift code up or down a file).
+sorts, deduplicates, and suppresses them by content, so they are frozen.
 """
 
 from __future__ import annotations
@@ -30,10 +27,6 @@ class Finding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.severity.value} [{self.rule_id}] {self.message}"
-
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Line-independent identity used by the baseline file."""
-        return (self.path, self.rule_id, self.message)
 
     def to_json(self) -> dict:
         return {

@@ -8,14 +8,7 @@ from __future__ import annotations
 
 from repro.analysis.engine import Rule
 from repro.analysis.rules.api_parity import ApiParityRule
-from repro.analysis.rules.async_blocking import AsyncBlockingRule
 from repro.analysis.rules.atomic_rmw import AtomicRmwRule
-from repro.analysis.rules.await_holding_lock import AwaitHoldingLockRule
-from repro.analysis.rules.commute import (
-    CommuteParityRule,
-    ReplayIsolationRule,
-    ShardFootprintRule,
-)
 from repro.analysis.rules.crash_hook_coverage import CrashHookCoverageRule
 from repro.analysis.rules.effect_contract import EffectContractRule
 from repro.analysis.rules.flush_barrier import FlushBarrierRule
@@ -49,14 +42,9 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     StateProtocolRule,
     RaceLocksetRule,
     AtomicRmwRule,
-    AsyncBlockingRule,
-    AwaitHoldingLockRule,
     FlushBarrierRule,
     PersistOrderRule,
     CrashHookCoverageRule,
-    CommuteParityRule,
-    ShardFootprintRule,
-    ReplayIsolationRule,
 )
 
 
@@ -93,12 +81,7 @@ __all__ = [
     "StateProtocolRule",
     "RaceLocksetRule",
     "AtomicRmwRule",
-    "AsyncBlockingRule",
-    "AwaitHoldingLockRule",
     "FlushBarrierRule",
     "PersistOrderRule",
     "CrashHookCoverageRule",
-    "CommuteParityRule",
-    "ShardFootprintRule",
-    "ReplayIsolationRule",
 ]

@@ -262,6 +262,9 @@ class RAEFilesystem(FilesystemAPI):
                 raise
             self._recover(detected, inflight=None)
             self.base.unmount()
+        if self.profiler is not None:
+            # The device outlives this supervisor; leave no wrappers on it.
+            self.profiler.detach()
 
     @property
     def recovery_count(self) -> int:

@@ -21,7 +21,10 @@ module-level import into the base layers, so the pull-don't-push
 discipline (docs/OBSERVABILITY.md) and SHADOW-PURITY both hold.  A
 contained reboot swaps in a fresh base with unwrapped subsystems; the
 profiler registers an ``on_reboot`` callback to re-wrap the new base
-(the device instance survives reboots and stays wrapped).
+(the device instance survives reboots and stays wrapped).  The device
+also outlives the supervisor, so a successful ``unmount`` detaches:
+wrappers left on it would keep charging a dead profiler and hide the
+device from the next mount's.
 """
 
 from __future__ import annotations
@@ -171,7 +174,13 @@ class LayerProfiler:
         fs.on_reboot.append(self._on_reboot)
 
     def detach(self) -> None:
-        """Restore every wrapped method and stop following reboots."""
+        """Restore every wrapped method and stop following reboots.
+
+        Safe to call from inside a wrapped frame (``unmount`` is one):
+        the stack and the per-op accumulator are left alone, so the
+        wrappers already running unwind normally and the operation in
+        flight is attributed and counted like any other.
+        """
         fs = self._fs
         if fs is None:
             return
@@ -180,8 +189,6 @@ class LayerProfiler:
         if self._on_reboot in fs.on_reboot:
             fs.on_reboot.remove(self._on_reboot)
         self._fs = None
-        self._stack.clear()
-        self._op_self.clear()
 
     # -- export --------------------------------------------------------
 

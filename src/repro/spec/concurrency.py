@@ -1,17 +1,17 @@
 """The declared concurrency spec: shared classes and their lock guards.
 
-The ROADMAP's next arc makes the supervisor side concurrent — an asyncio
-multi-tenant front-end (item 1), sharded replay and parallel fsck
-(item 4), multi-volume federation (item 5).  The shadow is *not* part of
-that arc: SHADOW-PURITY keeps it sequential and import-clean, which is
-the paper's trust argument (§3.2), so nothing here names a shadow class.
+The supervisor side is driven by one thread today, and the only
+parallelism in the tree is the multi-client workload driver's
+cooperative interleaving.  The shadow will never be concurrent:
+SHADOW-PURITY keeps it sequential and import-clean, which is the paper's
+trust argument (§3.2), so nothing here names a shadow class.
 
 raelint's concurrency rules (RACE-LOCKSET and ATOMIC-RMW, see
 ``docs/STATIC_ANALYSIS.md``) extract this file from its AST, exactly
 like ``OP_CONTRACTS``: both tables must stay pure literals.
 
-* ``SHARED_CLASSES`` — classes whose instances will be reachable from
-  more than one thread or task once the concurrent front-end lands.
+* ``SHARED_CLASSES`` — classes whose instances would be reachable from
+  more than one thread or task the day a concurrent caller appears.
   Registering a class turns the lockset checks on *now*, before the
   first concurrent caller exists, so every new write to supervisor
   state grows up under the race detector instead of being retrofitted.
@@ -33,19 +33,19 @@ this registry rot.
 
 from __future__ import annotations
 
-#: Supervisor-side state the parallel-recovery arc will share across
+#: Supervisor-side state a concurrent caller would share across
 #: threads/tasks.  Inferred escape seeds (``threading.Thread`` targets,
 #: executor submits, asyncio task creation) extend this list
 #: automatically; the registry exists to turn the checks on early.
 SHARED_CLASSES = (
-    # The supervisor facade: every tenant of the asyncio front-end calls
-    # into one RAEFilesystem (ROADMAP item 1).
+    # The supervisor facade: every client of a mounted volume calls
+    # into one RAEFilesystem.
     "RAEFilesystem",
-    # Appended on the hot path, drained by replay; sharded replay
-    # (ROADMAP item 4) reads it from worker tasks.
+    # Appended on the hot path, drained by replay: a second thread of
+    # control on either side meets the other's half-applied compound.
     "OpLog",
-    # Classifies faults on the hot path; its history feeds forensic
-    # bundles that a parallel fsck would read concurrently.
+    # Classifies faults on the hot path; its history is read back by
+    # supervisor snapshots and reports.
     "Detector",
     # The inode lock table itself: lock metadata is the first thing
     # concurrent clients contend on.
@@ -60,7 +60,7 @@ SHARED_CLASSES = (
 GUARDED_BY = {
     # -- RAEFilesystem: all mutation happens on the single dispatch
     #    thread today; ops() is the only entry point and it is not
-    #    reentrant.  The front-end PR must route these through one
+    #    reentrant.  A concurrent caller must route these through one
     #    supervisor lock (or an actor-style dispatch queue).
     "RAEFilesystem.base": "<single-threaded>",  # swapped only inside recovery
     "RAEFilesystem._in_recovery": "<single-threaded>",  # recovery re-entrance flag
@@ -69,8 +69,8 @@ GUARDED_BY = {
     "RAEFilesystem.on_reboot": "<single-threaded>",  # reboot callbacks, registered before the workload runs
     "RAEFilesystem.forensics": "<single-threaded>",  # forensic bundle accumulator
     # -- OpLog: append/truncate mutate entries and the byte budget as
-    #    one compound; the sharded-replay PR needs a log lock (append)
-    #    while replay reads a frozen snapshot.
+    #    one compound; a concurrent appender needs a log lock while
+    #    replay reads a frozen snapshot.
     "OpLog.entries": "<single-threaded>",
     "OpLog._entry_bytes": "<single-threaded>",
     "OpLog.fd_snapshot": "<single-threaded>",

@@ -18,9 +18,7 @@ from repro.analysis.cli import main as raelint_main
 from repro.analysis.concurrency import ConcurrencyConfigError, model_for
 from repro.analysis.engine import ParsedModule
 from repro.analysis.rules import (
-    AsyncBlockingRule,
     AtomicRmwRule,
-    AwaitHoldingLockRule,
     RaceLocksetRule,
 )
 
@@ -260,191 +258,6 @@ class TestAtomicRmw:
 
 
 # ---------------------------------------------------------------------------
-# ASYNC-BLOCKING
-
-
-class TestAsyncBlocking:
-    def test_blocking_call_in_coroutine_body_is_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "svc/loop.py": """
-                async def serve():
-                    handle = open("/tmp/data")
-                    return handle
-            """,
-        })
-        report = analyze_tree(root, rules=[AsyncBlockingRule()])
-        assert rule_ids(report) == ["ASYNC-BLOCKING"]
-        finding = report.findings[0]
-        assert (finding.path, finding.line) == ("svc/loop.py", 3)
-        assert "open()" in finding.message
-        assert "serve" in finding.message
-
-    def test_blocking_call_behind_a_sync_helper_carries_the_chain(self, tmp_path):
-        # Second seeded bug: time.sleep two sync hops away; the finding
-        # must name the coroutine and the witness chain.
-        root = write_tree(tmp_path, {
-            "svc/loop.py": """
-                import time
-
-                def nap():
-                    time.sleep(0.1)
-
-                def relay():
-                    nap()
-
-                async def serve():
-                    relay()
-            """,
-        })
-        report = analyze_tree(root, rules=[AsyncBlockingRule()])
-        assert rule_ids(report) == ["ASYNC-BLOCKING"]
-        finding = report.findings[0]
-        assert (finding.path, finding.line) == ("svc/loop.py", 5)
-        assert "time.sleep()" in finding.message
-        assert "serve -> relay -> nap" in finding.message
-
-    def test_from_import_alias_is_resolved(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "svc/loop.py": """
-                from time import sleep as snooze
-
-                async def serve():
-                    snooze(1)
-            """,
-        })
-        report = analyze_tree(root, rules=[AsyncBlockingRule()])
-        assert rule_ids(report) == ["ASYNC-BLOCKING"]
-        assert "time.sleep()" in report.findings[0].message
-
-    def test_sync_lock_acquire_in_coroutine_is_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "svc/loop.py": """
-                async def serve(lock):
-                    lock.acquire()
-            """,
-        })
-        report = analyze_tree(root, rules=[AsyncBlockingRule()])
-        assert rule_ids(report) == ["ASYNC-BLOCKING"]
-        assert "blocks the event loop" in report.findings[0].message
-
-    def test_asyncio_idioms_pass(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "svc/loop.py": """
-                import asyncio
-                import time
-
-                def blocking_work():
-                    time.sleep(1)
-
-                async def serve(lock):
-                    await asyncio.sleep(1)
-                    await lock.acquire()
-                    # Executor dispatch passes the callable without
-                    # calling it: the sanctioned escape hatch.
-                    await asyncio.to_thread(blocking_work)
-            """,
-        })
-        assert rule_ids(analyze_tree(root, rules=[AsyncBlockingRule()])) == []
-
-    def test_blocking_call_attributed_to_nearest_coroutine_only(self, tmp_path):
-        # outer -> inner (async) -> nap: nap's sleep belongs to inner;
-        # outer must not repeat it.
-        root = write_tree(tmp_path, {
-            "svc/loop.py": """
-                import time
-
-                def nap():
-                    time.sleep(0.1)
-
-                async def inner():
-                    nap()
-
-                async def outer():
-                    await inner()
-            """,
-        })
-        report = analyze_tree(root, rules=[AsyncBlockingRule()])
-        assert rule_ids(report) == ["ASYNC-BLOCKING"]
-        assert "inner" in report.findings[0].message
-
-
-# ---------------------------------------------------------------------------
-# AWAIT-HOLDING-LOCK
-
-
-class TestAwaitHoldingLock:
-    def test_await_inside_sync_with_lock_is_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "svc/loop.py": """
-                async def serve(lock):
-                    with lock:
-                        await checkpoint()
-
-                async def checkpoint():
-                    pass
-            """,
-        })
-        report = analyze_tree(root, rules=[AwaitHoldingLockRule()])
-        assert rule_ids(report) == ["AWAIT-HOLDING-LOCK"]
-        finding = report.findings[0]
-        assert (finding.path, finding.line) == ("svc/loop.py", 4)
-        assert "lock" in finding.message
-
-    def test_await_after_manual_acquire_is_flagged(self, tmp_path):
-        # Second seeded bug: the LockManager idiom — acquire by inode,
-        # await before release.
-        root = write_tree(tmp_path, {
-            "svc/loop.py": """
-                async def rename(locks, ino):
-                    locks.acquire(ino)
-                    await checkpoint()
-                    locks.release(ino)
-
-                async def checkpoint():
-                    pass
-            """,
-        })
-        report = analyze_tree(root, rules=[AwaitHoldingLockRule()])
-        assert rule_ids(report) == ["AWAIT-HOLDING-LOCK"]
-        finding = report.findings[0]
-        assert (finding.path, finding.line) == ("svc/loop.py", 4)
-
-    def test_release_before_await_passes(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "svc/loop.py": """
-                async def rename(locks, ino):
-                    locks.acquire(ino)
-                    locks.release(ino)
-                    await checkpoint()
-
-                async def checkpoint():
-                    pass
-            """,
-        })
-        assert rule_ids(analyze_tree(root, rules=[AwaitHoldingLockRule()])) == []
-
-    def test_asyncio_lock_idioms_pass(self, tmp_path):
-        # `async with lock:` and `await lock.acquire()` are asyncio
-        # locks; holding them across an await is the intended idiom.
-        root = write_tree(tmp_path, {
-            "svc/loop.py": """
-                async def serve(lock):
-                    async with lock:
-                        await checkpoint()
-
-                async def manual(lock):
-                    await lock.acquire()
-                    await checkpoint()
-                    lock.release()
-
-                async def checkpoint():
-                    pass
-            """,
-        })
-        assert rule_ids(analyze_tree(root, rules=[AwaitHoldingLockRule()])) == []
-
-
-# ---------------------------------------------------------------------------
 # the shared-state model: seeding and config validation
 
 
@@ -565,9 +378,7 @@ class TestConfigErrors:
 class TestRealTree:
     def test_concurrency_family_is_clean_on_src_repro(self):
         root = Path(__file__).resolve().parent.parent / "src" / "repro"
-        report = analyze_tree(root, rules=[
-            RaceLocksetRule(), AtomicRmwRule(), AsyncBlockingRule(), AwaitHoldingLockRule(),
-        ])
+        report = analyze_tree(root, rules=[RaceLocksetRule(), AtomicRmwRule()])
         assert rule_ids(report) == [], "\n".join(f.render() for f in report.findings)
 
     def test_registry_classes_have_access_sites(self):

@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze_tree
-from repro.analysis.baseline import Baseline
 from repro.analysis.cli import main as raelint_main
 from repro.analysis.engine import Analyzer, ParsedModule
 from repro.analysis.persistence import PersistenceConfigError, model_for
@@ -537,36 +536,6 @@ class TestCrashSurface:
 
 
 # ---------------------------------------------------------------------------
-# satellite: atomic baseline save
-
-
-class TestBaselineAtomicSave:
-    def test_failed_replace_leaves_target_intact(self, tmp_path, monkeypatch):
-        target = tmp_path / "raelint.baseline.json"
-        Baseline(entries={("a.py", "RULE", "msg")}).save(target)
-        original = target.read_text()
-
-        def boom(src, dst):
-            raise OSError("disk full")
-
-        # Baseline.save delegates to the shared repro.util.atomic_write_json.
-        monkeypatch.setattr("repro.util.os.replace", boom)
-        with pytest.raises(OSError):
-            Baseline(entries=set()).save(target)
-        # The committed ratchet file is untouched and the staging file
-        # does not linger.
-        assert target.read_text() == original
-        assert not target.with_name(target.name + ".tmp").exists()
-
-    def test_save_replaces_and_leaves_no_staging_file(self, tmp_path):
-        target = tmp_path / "raelint.baseline.json"
-        Baseline(entries={("a.py", "RULE", "old")}).save(target)
-        Baseline(entries={("a.py", "RULE", "new")}).save(target)
-        assert not target.with_name(target.name + ".tmp").exists()
-        assert Baseline.load(target).entries == {("a.py", "RULE", "new")}
-
-
-# ---------------------------------------------------------------------------
 # satellite: --changed-since
 
 
@@ -629,34 +598,59 @@ class TestChangedSince:
 
 
 # ---------------------------------------------------------------------------
-# satellite: --format=github severity split
+# satellite: the emitter always analyzes the full tree
+
+
+class TestEmitterScope:
+    def test_crash_surface_is_identical_with_and_without_changed_only(
+        self, tmp_path, capsys
+    ):
+        root = write_tree(tmp_path, {
+            "spec/persistence.py": """
+                WRITE_SITE_ROLES = {
+                    "Fs.commit": ("commit-record",),
+                }
+                CRASH_ENTRY_POINTS = {
+                    "commit": "Fs.commit",
+                }
+            """,
+            "basefs/fs.py": """
+                class Fs:
+                    def commit(self, txn):
+                        self.hooks.fire("commit.pre")
+                        self.device.write_block(0, txn)
+                        self.device.flush()
+            """,
+            "basefs/other.py": "def helper():\n    pass\n",
+        })
+        _git(root, "init", "-q")
+        _git(root, "add", "-A")
+        _git(root, "commit", "-q", "-m", "base")
+        # Dirty exactly one irrelevant file: a scoped analysis would
+        # drop basefs/fs.py and emit an empty (or broken) surface.
+        (root / "basefs" / "other.py").write_text("def helper():\n    return 1\n")
+        full = root / "full.json"
+        scoped = root / "scoped.json"
+        assert raelint_main([str(root), "--emit-crash-surface", str(full)]) == 0
+        assert raelint_main([
+            str(root), "--changed-only", "--emit-crash-surface", str(scoped),
+        ]) == 0
+        assert full.read_bytes() == scoped.read_bytes()
+        assert json.loads(full.read_text())["points"]
+
+
+# ---------------------------------------------------------------------------
+# satellite: --format=github
 
 
 class TestGithubFormat:
-    def test_baselined_findings_render_as_notice(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {
-            "spec/persistence.py": ROLES_COMMIT_THEN_CHECKPOINT,
-            "basefs/journal.py": UNFLUSHED_COMMIT,
-        })
-        baseline = tmp_path / "baseline.json"
-        args = [str(root), "--select", "FLUSH-BARRIER", "--baseline", str(baseline)]
-        assert raelint_main(args + ["--write-baseline"]) == 0
-        capsys.readouterr()
-        # Known debt the ratchet already tracks: annotate, don't scream.
-        assert raelint_main(args + ["--format", "github", "--fail-on-findings"]) == 0
-        out = capsys.readouterr().out
-        assert "::notice " in out
-        assert "(baselined)" in out
-        assert "::error" not in out
-
     def test_new_findings_render_as_error(self, tmp_path, capsys):
         root = write_tree(tmp_path, {
             "spec/persistence.py": ROLES_COMMIT_THEN_CHECKPOINT,
             "basefs/journal.py": UNFLUSHED_COMMIT,
         })
-        baseline = tmp_path / "baseline.json"  # absent: everything is new
         code = raelint_main([
-            str(root), "--select", "FLUSH-BARRIER", "--baseline", str(baseline),
+            str(root), "--select", "FLUSH-BARRIER",
             "--format", "github", "--fail-on-findings",
         ])
         assert code == 1

@@ -157,6 +157,27 @@ class TestSupervisorAttachment:
         assert fs.profiler.ops == ops_before
         assert fs.readdir("/") == ["a", "b"]
 
+    def test_unmount_detaches_so_the_next_mount_sees_the_device(self):
+        """The device outlives the supervisor: wrappers left on it by an
+        unmounted supervisor's profiler would keep charging that dead
+        profiler and hide the device layer from the next mount's."""
+        device = formatted_device(4096)
+        first = RAEFilesystem(device)
+        first.mkdir("/a")
+        first.unmount()
+        assert "read_block" not in device.__dict__
+        ops, calls = first.profiler.ops, dict(first.profiler.calls)
+        assert calls["device"] > 0  # the unmount op itself was attributed
+
+        second = RAEFilesystem(device)
+        for index in range(31):
+            second.mkdir(f"/d{index}")
+        summary = second.profiler.layer_summary()
+        assert summary["device"]["calls"] > 0
+        assert summary["device"]["self_seconds"] > 0
+        assert second.profiler.ops == 31
+        assert (first.profiler.ops, first.profiler.calls) == (ops, calls)
+
     def test_double_attach_rejected(self):
         fs = RAEFilesystem(formatted_device(4096))
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """raelint: rule unit tests (known-bad flagged, known-good passes),
-suppression and baseline mechanics, CLI modes, and the tree gate that
-keeps src/repro clean against the checked-in baseline."""
+suppression mechanics, the rule registry, CLI modes, and the tree gate
+that keeps src/repro clean."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Analyzer, Baseline, analyze_tree, default_rules
+from repro.analysis import RULE_CLASSES, Analyzer, analyze_tree, default_rules
 from repro.analysis.cli import main as raelint_main
 from repro.analysis.engine import PARSE_ERROR_RULE
 from repro.analysis.findings import Severity
@@ -20,11 +20,12 @@ from repro.analysis.rules import (
     LockReleaseRule,
     OplogCoverageRule,
     ShadowPurityRule,
+    rule_families,
 )
+from tests.test_persistence_rules import ROLES_COMMIT_THEN_CHECKPOINT, UNFLUSHED_COMMIT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
-BASELINE_PATH = REPO_ROOT / "raelint.baseline.json"
 
 
 def write_tree(tmp_path: Path, files: dict[str, str]) -> Path:
@@ -351,7 +352,7 @@ class TestHookRegistry:
 
 
 # ---------------------------------------------------------------------------
-# engine mechanics: suppression, baseline, parse errors
+# engine mechanics: suppression, parse errors
 
 
 class TestSuppressionAndBaseline:
@@ -443,18 +444,6 @@ class TestSuppressionAndBaseline:
         report = analyze_tree(root, rules=[ErrnoDisciplineRule()])
         assert len(report.findings) == 1
 
-    def test_baseline_accepts_known_findings(self, tmp_path):
-        root = write_tree(tmp_path, {"bad.py": self.BAD.format(suffix="")})
-        first = analyze_tree(root, rules=[ErrnoDisciplineRule()])
-        assert len(first.new_findings) == 1
-
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_findings(first.findings).save(baseline_path)
-        second = analyze_tree(root, baseline=baseline_path, rules=[ErrnoDisciplineRule()])
-        assert second.findings and second.new_findings == []
-        assert second.baselined == 1
-        assert second.clean
-
     def test_parse_error_is_a_finding(self, tmp_path):
         root = write_tree(tmp_path, {"broken.py": "def f(:\n"})
         report = analyze_tree(root, rules=default_rules())
@@ -484,29 +473,6 @@ class TestCli:
         assert payload["clean"] is False
         assert payload["new"][0]["rule"] == "ERRNO-DISCIPLINE"
         assert payload["new"][0]["path"] == "bad.py"
-
-    def test_write_baseline_then_clean(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {"bad.py": "try:\n    f()\nexcept Exception:\n    pass\n"})
-        baseline = tmp_path / "baseline.json"
-        assert raelint_main([str(root), "--write-baseline", "--baseline", str(baseline)]) == 0
-        assert raelint_main([str(root), "--fail-on-findings", "--baseline", str(baseline)]) == 0
-
-    def test_update_baseline_drops_stale_entries(self, tmp_path, capsys):
-        bad = "try:\n    f()\nexcept Exception:\n    pass\n"
-        root = write_tree(tmp_path, {"bad.py": bad, "worse.py": bad})
-        baseline = tmp_path / "baseline.json"
-        assert raelint_main([str(root), "--write-baseline", "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-
-        # Fix one file; --update-baseline regenerates and reports the delta.
-        (root / "worse.py").write_text("x = 1\n")
-        assert raelint_main([str(root), "--update-baseline", "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "-1 no longer firing" in out
-        assert "+0 new" in out
-        entries = json.loads(baseline.read_text())["findings"]
-        assert [e["path"] for e in entries] == ["bad.py"]
-        assert raelint_main([str(root), "--fail-on-findings", "--baseline", str(baseline)]) == 0
 
     def test_output_is_sorted_by_path_line_rule(self, tmp_path, capsys):
         bad = "try:\n    f()\nexcept Exception:\n    pass\n\ntry:\n    g()\nexcept Exception:\n    pass\n"
@@ -556,33 +522,6 @@ class TestCli:
         # Family names are valid --select tokens, so the error lists them.
         assert "families:" in err
 
-    def test_check_baseline_flags_stale_entries(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {"bad.py": "try:\n    f()\nexcept Exception:\n    pass\n"})
-        baseline = tmp_path / "baseline.json"
-        assert raelint_main([str(root), "--write-baseline", "--baseline", str(baseline)]) == 0
-        # Entry still fires: the ratchet holds.
-        assert raelint_main([str(root), "--check-baseline", "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-
-        # Fix the file without updating the baseline: the entry is stale.
-        (root / "bad.py").write_text("x = 1\n")
-        assert raelint_main([str(root), "--check-baseline", "--baseline", str(baseline)]) == 1
-        out = capsys.readouterr().out
-        assert "stale baseline entry" in out
-        assert "--update-baseline" in out
-
-    def test_check_baseline_scoped_to_selected_rules(self, tmp_path, capsys):
-        # A stale ERRNO-DISCIPLINE entry must not fail a run that only
-        # selected a different rule — that run could not have reproduced it.
-        root = write_tree(tmp_path, {"bad.py": "try:\n    f()\nexcept Exception:\n    pass\n"})
-        baseline = tmp_path / "baseline.json"
-        assert raelint_main([str(root), "--write-baseline", "--baseline", str(baseline)]) == 0
-        (root / "bad.py").write_text("x = 1\n")
-        assert raelint_main([
-            str(root), "--select", "SHADOW-PURITY",
-            "--check-baseline", "--baseline", str(baseline),
-        ]) == 0
-
     def test_github_format_emits_workflow_annotations(self, tmp_path, capsys):
         root = write_tree(tmp_path, {"bad.py": "try:\n    f()\nexcept Exception:\n    pass\n"})
         assert raelint_main([str(root), "--format=github", "--fail-on-findings"]) == 1
@@ -631,9 +570,7 @@ class TestCli:
     def test_changed_only_skips_deleted_files(self, tmp_path, capsys):
         # A file deleted in the working tree shows up in `git diff HEAD`
         # but has nothing to analyze; it must be dropped from the
-        # changed set — in particular --check-baseline must not judge
-        # its baseline entries stale (the deletion commit is what
-        # ratchets them), and the run must not crash trying to read it.
+        # changed set, and the run must not crash trying to read it.
         import subprocess
 
         bad = "try:\n    f()\nexcept Exception:\n    pass\n"
@@ -651,21 +588,83 @@ class TestCli:
         git("add", ".")
         git("commit", "-q", "-m", "seed")
 
-        baseline = tmp_path / "baseline.json"
-        assert raelint_main([str(root), "--write-baseline", "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-
         (root / "doomed.py").unlink()
         (root / "fresh.py").write_text(bad)
 
-        assert raelint_main([
-            str(root), "--changed-only", "--check-baseline",
-            "--baseline", str(baseline), "--format=json",
-        ]) == 0
+        assert raelint_main([str(root), "--changed-only", "--format=json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        # Only the untracked file is reported; doomed.py neither
-        # appears nor trips the stale-entry check.
+        # Only the untracked file is reported; doomed.py does not appear.
         assert {f["path"] for f in payload["findings"]} == {"fresh.py"}
+
+
+# ---------------------------------------------------------------------------
+# the rule registry and --select family names
+
+
+class TestFamilySelect:
+    def test_registry_pins_every_rule_and_family(self):
+        # The exact rule set, in registration order: a rule cannot appear
+        # or disappear without this test changing.
+        assert rule_families() == {
+            "core": (
+                "SHADOW-PURITY", "SHADOW-REACH", "OPLOG-COVERAGE",
+                "LOCK-RELEASE", "LOCK-ORDER", "JOURNAL-BEFORE-WRITE",
+                "REPLAY-DETERMINISM", "ERRNO-DISCIPLINE", "HOOK-REGISTRY",
+            ),
+            "contracts": (
+                "ERRNO-PARITY", "EFFECT-CONTRACT", "API-PARITY", "STATE-PROTOCOL",
+            ),
+            "concurrency": ("RACE-LOCKSET", "ATOMIC-RMW"),
+            "persistence": ("FLUSH-BARRIER", "PERSIST-ORDER", "CRASH-HOOK-COVERAGE"),
+        }
+        assert len(RULE_CLASSES) == 18
+        assert len({cls.rule_id for cls in RULE_CLASSES}) == 18
+
+    def test_family_token_selects_only_that_family(self, tmp_path, capsys):
+        # A persistence bug and nothing else: `--select persistence`
+        # reports it, `--select concurrency` stays silent on the same tree.
+        root = write_tree(tmp_path, {
+            "spec/persistence.py": ROLES_COMMIT_THEN_CHECKPOINT,
+            "basefs/journal.py": UNFLUSHED_COMMIT,
+        })
+        assert raelint_main([str(root), "--select", "persistence", "--fail-on-findings"]) == 1
+        assert "FLUSH-BARRIER" in capsys.readouterr().out
+        assert raelint_main([str(root), "--select", "concurrency", "--fail-on-findings"]) == 0
+
+    def test_family_and_exact_id_tokens_mix(self, tmp_path, capsys):
+        root = write_tree(tmp_path, {
+            "spec/persistence.py": ROLES_COMMIT_THEN_CHECKPOINT,
+            "basefs/journal.py": UNFLUSHED_COMMIT,
+        })
+        assert raelint_main([
+            str(root), "--select", "concurrency,SHADOW-PURITY", "--fail-on-findings",
+        ]) == 0
+        assert raelint_main([
+            str(root), "--select", "concurrency,FLUSH-BARRIER", "--fail-on-findings",
+        ]) == 1
+
+    def test_unknown_family_exits_two(self, tmp_path, capsys):
+        assert raelint_main([str(tmp_path), "--select", "persistance"]) == 2
+        err = capsys.readouterr().err
+        assert "persistance" in err
+        # The error teaches the vocabulary.
+        assert "persistence" in err and "contracts" in err
+
+    def test_list_rules_shows_families(self, capsys):
+        assert raelint_main(["--list-rules"]) == 0
+        out = capsys.readouterr().out
+        assert "[persistence]" in out
+        assert "[core]" in out
+
+    def test_retired_commute_family_is_rejected(self, tmp_path, capsys):
+        assert raelint_main([str(tmp_path), "--select", "commute"]) == 2
+        assert "commute" in capsys.readouterr().err
+
+    def test_retired_replay_matrix_emitter_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            raelint_main([str(tmp_path), "--emit-replay-matrix", str(tmp_path / "m.json")])
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "m.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -726,22 +725,22 @@ class TestSharedContext:
 
 
 # ---------------------------------------------------------------------------
-# the gate: the real tree stays clean against the checked-in baseline
+# the gate: the real tree stays clean
 
 
 class TestTreeGate:
-    def test_src_repro_is_clean_against_baseline(self):
-        report = Analyzer(SRC_ROOT, baseline=Baseline.load(BASELINE_PATH)).run()
+    def test_src_repro_is_clean(self):
+        report = Analyzer(SRC_ROOT).run()
         assert report.clean, "raelint regressions:\n" + "\n".join(
-            finding.render() for finding in report.new_findings
+            finding.render() for finding in report.findings
         )
 
     def test_every_rule_ran_over_a_nontrivial_tree(self):
-        report = Analyzer(SRC_ROOT, baseline=Baseline.load(BASELINE_PATH)).run()
+        report = Analyzer(SRC_ROOT).run()
         assert report.files > 50
 
     def test_sanctioned_boundaries_are_suppressed_not_silent(self):
         # The detector boundary in the supervisor (and the other sanctioned
         # broad catches) must be visible as suppressions, not invisible.
-        report = Analyzer(SRC_ROOT, baseline=Baseline.load(BASELINE_PATH)).run()
+        report = Analyzer(SRC_ROOT).run()
         assert report.suppressed >= 6
