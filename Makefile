@@ -3,7 +3,7 @@
 PYTHON ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: all install lint lint-json lint-github crash-surface sweep sweep-smoke test bench bench-obs bench-hotpath bench-hotpath-check hotpath-baseline perfbench perfbench-smoke experiments examples verify clean
+.PHONY: all install lint lint-json lint-github crash-surface sweep sweep-smoke test bench perfbench perfbench-smoke experiments examples verify clean
 
 # Default flow: static analysis first (fast), then the tier-1 suite.
 all: lint test
@@ -46,30 +46,6 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# The observability ablation alone, producing BENCH_obs.json and then
-# FAILING (not skipping) if the artifact is missing or malformed — the
-# schema gate is what keeps the CI artifact trustworthy.
-bench-obs:
-	$(PYTHONPATH_SRC) BENCH_OBS_PATH=BENCH_obs.json $(PYTHON) -m pytest benchmarks/test_ablation_obs_overhead.py --benchmark-only -q -s
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.obs.check BENCH_obs.json
-
-# The hot-path throughput artifact: run every mix via rae-bench, then
-# FAIL (not skip) if BENCH_hotpath.json is missing or malformed — same
-# schema-gate discipline as bench-obs.
-bench-hotpath:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.bench --out BENCH_hotpath.json
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.obs.check BENCH_hotpath.json
-
-# The perf ratchet against the committed baseline (exit 1 on regression
-# beyond the tolerance bands; see docs/OBSERVABILITY.md).
-bench-hotpath-check:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.bench --check-baseline --artifact BENCH_hotpath.json
-
-# Deliberately ratchet hotpath.baseline.json forward from a fresh run.
-# Commit the result — CI compares every run against it.
-hotpath-baseline:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.bench --out BENCH_hotpath.json --update-baseline
 
 # The repository's benchmark (BENCHMARK.json): every performance claim
 # is a (metric, workload) pair from perfbench/README.md.  The smoke run

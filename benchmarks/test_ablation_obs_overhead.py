@@ -1,30 +1,19 @@
 """Ablation — what does observability cost, and what does it record?
 
-Two claims from the observability design (docs/OBSERVABILITY.md):
-
-1. **Disabled means free.**  With ``RAEConfig(metrics=False)`` the
-   supervisor's hot path pays one boolean test per operation; there is
-   no baseline without the code, so the regression guard here is that
-   the disabled configuration is at least as fast as the enabled one
-   (within noise) on the figure-2 workload.  The figure-2 benchmark
-   itself runs the bare :class:`BaseFilesystem`, which carries *zero*
-   instrumentation — its overhead with metrics disabled is structurally
-   0%, well under the 5% budget.
-2. **Enabled runs leave an artifact.**  The metrics-on run's registry is
-   staged and flushed to ``BENCH_obs.json`` via the harness hook, which
-   CI uploads — the seed of the perf trajectory.
+One claim from the observability design (docs/OBSERVABILITY.md):
+**disabled means free.**  With ``RAEConfig(metrics=False)`` the
+supervisor's hot path pays one boolean test per operation; there is
+no baseline without the code, so the regression guard here is that
+the disabled configuration is at least as fast as the enabled one
+(within noise) on the figure-2 workload.  The figure-2 benchmark
+itself runs the bare :class:`BaseFilesystem`, which carries *zero*
+instrumentation — its overhead with metrics disabled is structurally
+0%, well under the 5% budget.
 """
 
 import time
 
-from repro.bench import (
-    emit_obs_section,
-    flush_bench_obs,
-    format_table,
-    make_rae,
-    print_banner,
-    run_ops,
-)
+from repro.bench import format_table, make_rae, print_banner, run_ops
 from repro.core.supervisor import RAEConfig
 from repro.workloads import WorkloadGenerator, webserver_profile
 
@@ -34,7 +23,7 @@ ROUNDS = 5
 
 def _best_seconds(metrics: bool, operations) -> tuple[float, object]:
     """Fastest of ROUNDS fresh runs (min is the noise-robust estimator);
-    also returns the last run's filesystem for snapshot export."""
+    also returns the last run's filesystem for inspection."""
     best = float("inf")
     fs = None
     for _ in range(ROUNDS):
@@ -45,7 +34,7 @@ def _best_seconds(metrics: bool, operations) -> tuple[float, object]:
     return best, fs
 
 
-def test_obs_overhead_and_bench_obs_emission(benchmark):
+def test_obs_overhead(benchmark):
     operations = WorkloadGenerator(webserver_profile(), seed=77).ops(N_OPS)
 
     def run_enabled():
@@ -79,16 +68,3 @@ def test_obs_overhead_and_bench_obs_emission(benchmark):
     snapshot = enabled_fs.obs.snapshot()
     assert snapshot["counters"], "enabled run recorded no counters"
     assert any(name.startswith("op.latency.") for name in snapshot["histograms"])
-
-    emit_obs_section(
-        "ablation_obs_overhead",
-        enabled_fs,
-        extra={
-            "profile": "webserver",
-            "ops": N_OPS,
-            "enabled_seconds": enabled_s,
-            "disabled_seconds": disabled_s,
-        },
-    )
-    path = flush_bench_obs()
-    print(f"wrote {path}")

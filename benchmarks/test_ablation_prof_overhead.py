@@ -12,9 +12,6 @@ maximal because the wrapped device/cache calls themselves cost almost
 nothing — this is the worst case the profiler can face, and the bound
 below is what "cheap enough to stay on by default" means here.  On any
 device with real IO latency the relative overhead only shrinks.
-
-Numbers land in ``BENCH_hotpath.json`` via ``rae-bench`` (whose meta
-records the attribution arm); this benchmark is the regression guard.
 """
 
 import time

@@ -1,12 +1,13 @@
-"""Benchmark harness helpers shared by ``benchmarks/``.
+"""Helpers shared by ``benchmarks/`` and ``repro.tools``.
 
-Keeps benchmark files declarative: construction of filesystems over
-sized devices, workload execution with timing, paper-style table
-rendering, and the ``BENCH_obs.json`` observability emitter live here.
+Keeps the tier-2 ablation files declarative: construction of
+filesystems over sized, template-formatted devices, workload execution
+with timing, and paper-style table rendering.  This is not the
+repository's benchmark — that is ``perfbench/`` (``BENCHMARK.json``),
+which imports nothing from here.
 """
 
 from repro.bench.harness import (
-    emit_obs_section,
     make_base,
     make_device,
     make_rae,
@@ -14,31 +15,9 @@ from repro.bench.harness import (
     run_ops,
     time_ops,
 )
-from repro.bench.hotpath import (
-    MIX_PROFILES,
-    calibration_score,
-    run_hotpath_bench,
-    run_mix,
-    write_hotpath,
-)
-from repro.bench.ratchet import (
-    baseline_from_artifact,
-    check_against_baseline,
-    load_baseline,
-)
-from repro.bench.reporting import format_table, print_banner, render_hotpath
-from repro.obs import flush_bench_obs
+from repro.bench.reporting import format_table, print_banner
 
 __all__ = [
-    "MIX_PROFILES",
-    "run_mix",
-    "run_hotpath_bench",
-    "calibration_score",
-    "write_hotpath",
-    "baseline_from_artifact",
-    "check_against_baseline",
-    "load_baseline",
-    "render_hotpath",
     "make_device",
     "make_base",
     "make_shadow",
@@ -47,6 +26,4 @@ __all__ = [
     "time_ops",
     "format_table",
     "print_banner",
-    "emit_obs_section",
-    "flush_bench_obs",
 ]

@@ -79,14 +79,3 @@ def time_ops(fs: FilesystemAPI, operations: Sequence[FsOp], start_seq: int = 1) 
     run_ops(fs, operations, start_seq=start_seq)
     elapsed = time.perf_counter() - start
     return elapsed, len(operations) / elapsed if elapsed else float("inf")
-
-
-def emit_obs_section(name: str, fs: RAEFilesystem, extra: dict | None = None) -> None:
-    """Stage a supervisor's observability snapshot for ``BENCH_obs.json``.
-
-    Benchmarks call this after their measured run, then
-    :func:`repro.obs.flush_bench_obs` once, so a tier-2 pass leaves a
-    machine-readable record (CI uploads it as an artifact)."""
-    from repro.obs import record_section
-
-    record_section(name, fs.obs, extra=extra)

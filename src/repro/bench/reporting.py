@@ -34,59 +34,6 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _us(seconds: object) -> object:
-    """Seconds → microseconds for table cells; ``None`` renders as -."""
-    return "-" if seconds is None else float(seconds) * 1e6
-
-
-def render_hotpath(payload: dict) -> str:
-    """Render a ``BENCH_hotpath.json`` payload: one throughput summary
-    table, then a per-layer self-time table per mix (percentiles are of
-    *per-op self-time* in that layer).  Shared by ``rae-bench`` and
-    ``rae-report hotpath``."""
-    meta = payload.get("meta", {})
-    blocks = []
-    summary_rows = []
-    for name, mix in payload.get("mixes", {}).items():
-        latency = mix.get("latency_seconds", {})
-        summary_rows.append([
-            name,
-            mix.get("ops", 0),
-            float(mix.get("ops_per_second", 0.0)),
-            _us(latency.get("p50")),
-            _us(latency.get("p95")),
-            _us(latency.get("p99")),
-        ])
-    title = "hot-path throughput"
-    if meta:
-        title += (
-            f" (ops/mix={meta.get('ops_per_mix')} rounds={meta.get('rounds')}"
-            f" seed={meta.get('seed')}"
-            f" calibration={meta.get('calibration_score', 0.0):.1f}/s)"
-        )
-    blocks.append(format_table(
-        ["mix", "ops", "ops/s", "p50us", "p95us", "p99us"], summary_rows, title=title
-    ))
-    for name, mix in payload.get("mixes", {}).items():
-        rows = []
-        for layer, entry in mix.get("layers", {}).items():
-            rows.append([
-                layer,
-                float(entry.get("self_seconds", 0.0)),
-                f"{float(entry.get('share', 0.0)) * 100:.1f}%",
-                entry.get("calls", 0),
-                _us(entry.get("p50")),
-                _us(entry.get("p95")),
-                _us(entry.get("p99")),
-            ])
-        blocks.append(format_table(
-            ["layer", "self_s", "share", "calls", "p50us", "p95us", "p99us"],
-            rows,
-            title=f"{name} — per-layer self-time",
-        ))
-    return "\n\n".join(blocks)
-
-
 def print_banner(text: str) -> None:
     bar = "=" * max(60, len(text) + 4)
     print(f"\n{bar}\n  {text}\n{bar}")

@@ -53,9 +53,10 @@ class RAEConfig:
     metrics: bool = True
     # Layer-attribution profiling (repro.obs.prof): wraps the live
     # supervisor/base/device methods to split each op's wall time into
-    # per-layer self-time.  On by default — the tier-2 ablation keeps it
-    # within the observability noise band — and implied off when
-    # ``metrics`` is off (the breakdown lands in registry histograms).
+    # per-layer self-time.  On by default at a measured ~1.25x on an
+    # all-RAM device (benchmarks/test_ablation_prof_overhead.py enforces
+    # a 1.50x budget), and implied off when ``metrics`` is off (the
+    # breakdown lands in registry histograms).
     profile: bool = True
     # Ring-buffer caps for supervisor-lifetime histories (cumulative
     # counts are kept separately and never dropped).

@@ -14,7 +14,7 @@ an inspectable JSON artifact.
 """
 
 from repro.obs.events import Event, EventLog
-from repro.obs.export import flush_bench_obs, record_section, write_snapshot
+from repro.obs.export import write_snapshot
 from repro.obs.flight import FlightRecorder, FrozenFlight
 from repro.obs.forensics import (
     BundleStore,
@@ -49,6 +49,4 @@ __all__ = [
     "merge_timeline",
     "render_timeline",
     "write_snapshot",
-    "record_section",
-    "flush_bench_obs",
 ]

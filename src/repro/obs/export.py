@@ -1,28 +1,14 @@
-"""JSON export: registry snapshots and the ``BENCH_obs.json`` artifact.
+"""JSON export of a registry snapshot.
 
-Two consumers:
-
-* ``python -m repro.tools report --json PATH`` dumps one registry
-  snapshot (see :meth:`repro.obs.metrics.Registry.snapshot` for the
-  schema);
-* the tier-2 benchmark suite accumulates named sections with
-  :func:`record_section` and writes them all with :func:`flush_bench_obs`
-  — CI uploads the resulting ``BENCH_obs.json`` as an artifact, seeding
-  the perf trajectory with real numbers per run.
+``python -m repro.tools report --json PATH`` dumps one registry
+snapshot (see :meth:`repro.obs.metrics.Registry.snapshot` for the
+schema); ``rae-report timeline`` reads it back.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.obs.metrics import Registry
 from repro.util import atomic_write_json
-
-BENCH_OBS_ENV = "BENCH_OBS_PATH"
-BENCH_OBS_DEFAULT = "BENCH_obs.json"
-BENCH_OBS_SCHEMA = 1
-
-_sections: dict[str, dict] = {}
 
 
 def write_snapshot(path: str, registry: Registry, meta: dict | None = None) -> str:
@@ -35,29 +21,3 @@ def write_snapshot(path: str, registry: Registry, meta: dict | None = None) -> s
     payload = {"meta": meta or {}, "snapshot": registry.snapshot()}
     atomic_write_json(path, payload)
     return path
-
-
-def record_section(name: str, registry: Registry, extra: dict | None = None) -> None:
-    """Stage one benchmark's observability section for the next flush."""
-    _sections[name] = {"extra": extra or {}, "snapshot": registry.snapshot()}
-
-
-def flush_bench_obs(path: str | None = None) -> str:
-    """Write all staged sections to ``BENCH_obs.json`` (or ``path`` /
-    ``$BENCH_OBS_PATH``) and clear the staging area.
-
-    Crash-safe: the payload is written to a sibling temp file and
-    :func:`os.replace`d into place, so an interrupted benchmark run can
-    never leave a truncated artifact — readers see either the previous
-    complete file or the new one.  Sections are sorted at flush time
-    (the module-global staging dict's insertion order is irrelevant),
-    and the staging area is cleared even when the write fails, so a
-    botched flush cannot leak stale sections into the next run.
-    """
-    target = path or os.environ.get(BENCH_OBS_ENV) or BENCH_OBS_DEFAULT
-    payload = {"schema": BENCH_OBS_SCHEMA, "sections": dict(sorted(_sections.items()))}
-    try:
-        atomic_write_json(target, payload)
-    finally:
-        _sections.clear()
-    return target

@@ -134,28 +134,6 @@ class Histogram:
             estimate = min(estimate, self.max)
         return estimate
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold ``other``'s observations into this histogram.
-
-        Requires identical bucket boundaries (all per-op latency
-        histograms share the registry defaults) — the benchmark harness
-        merges every ``op.latency.*`` histogram into one mix-level
-        distribution before reading percentiles."""
-        if other.boundaries != self.boundaries:
-            raise ValueError(
-                f"cannot merge histograms with different boundaries: "
-                f"{self.name!r} vs {other.name!r}"
-            )
-        self.count += other.count
-        self.sum += other.sum
-        self.overflow += other.overflow
-        for index, bucket_count in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += bucket_count
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-
     def snapshot(self) -> dict:
         buckets = [
             [f"{boundary:.9g}", count]
@@ -252,15 +230,6 @@ class Registry:
         if instrument is None:
             instrument = self._histograms[name] = Histogram(name, lo=lo, factor=factor, buckets=buckets)
         return instrument
-
-    def histograms(self, prefix: str = "") -> list[Histogram]:
-        """Every live histogram whose name starts with ``prefix``, in
-        name order (the benchmark harness merges ``op.latency.``)."""
-        return [
-            self._histograms[name]
-            for name in sorted(self._histograms)
-            if name.startswith(prefix)
-        ]
 
     # -- collectors ----------------------------------------------------
 

@@ -11,10 +11,11 @@ instrumentation-free, and the wrapping is runtime ``setattr`` on
 instances the supervisor already owns, so no base-layer module gains an
 ``repro.obs`` import.
 
-The per-layer self-times are the measurement every ROADMAP item 2
-optimization is judged against; ``rae-bench`` aggregates them into the
-``BENCH_hotpath.json`` artifact and ``rae-report hotpath`` renders the
-breakdown.
+This is the product's live attribution: the totals land in every
+registry snapshot as ``prof.*`` plus the ``layer.self.*`` histograms,
+and ``rae-report report`` prints them as the per-layer table.  It is
+not the benchmark's instrument — ``perfbench/`` runs with
+``RAEConfig(profile=False)`` and uses its own class-level tracer.
 """
 
 from repro.obs.prof.profiler import LAYERS, LayerProfiler

@@ -166,8 +166,11 @@ class LayerProfiler:
         if self._fs is not None:
             raise ValueError("LayerProfiler is already attached")
         self._fs = fs
-        self._wrap(self._wrapped, fs, "_call", "api")
-        self._wrap(self._wrapped, fs, "unmount", "api")
+        # fstat_ino is the one FilesystemAPI method that bypasses _call;
+        # unwrapped, its vfs frame would land on an empty stack and be
+        # counted as an operation of its own.
+        for name in ("_call", "fstat_ino", "unmount"):
+            self._wrap(self._wrapped, fs, name, "api")
         for name in _DEVICE_METHODS:
             self._wrap(self._wrapped, fs.device, name, "device")
         self._wrap_base(fs.base)

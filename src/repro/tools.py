@@ -14,18 +14,15 @@ Operates on image files (the :class:`FileBlockDevice` format):
 * ``trustbase`` — the §4.3 trusted-code-size report;
 * ``report`` (also installed as ``rae-report``) — run a seeded workload
   with fault injection under the supervisor and print the observability
-  report: metrics snapshot plus the recovery span timeline
-  (docs/OBSERVABILITY.md);
+  report: metrics snapshot, per-layer self-time table and the recovery
+  span timeline (docs/OBSERVABILITY.md);
 * ``bundle <file>`` — pretty-print a forensic bundle written with
   ``report --bundle`` (or ``--json`` to re-emit it normalized);
 * ``timeline <file>`` — merge the spans and events of a snapshot
-  written with ``report --json`` into one causally-ordered timeline;
-* ``hotpath <file>`` — render a ``BENCH_hotpath.json`` artifact
-  (written by ``rae-bench``) as per-mix / per-layer self-time tables.
+  written with ``report --json`` into one causally-ordered timeline.
 
-``rae-report`` dispatches to ``report``/``bundle``/``timeline``/
-``hotpath`` when the first argument names one of them, and defaults to
-``report`` otherwise.
+``rae-report`` dispatches to ``report``/``bundle``/``timeline`` when the
+first argument names one of them, and defaults to ``report`` otherwise.
 """
 
 from __future__ import annotations
@@ -195,9 +192,10 @@ def cmd_report(args) -> int:
     """rae-report: run a seeded workload under the supervisor (with a
     deterministic injected BUG every ``--fault-every`` directory inserts)
     and print the full observability report — supervisor summary, metric
-    snapshot, recovery span timeline — optionally exporting JSON."""
+    snapshot, per-layer self-time table, recovery span timeline —
+    optionally exporting JSON."""
     from repro.basefs.hooks import HookPoints
-    from repro.bench.harness import make_device
+    from repro.bench import format_table, make_device
     from repro.core.supervisor import RAEConfig, RAEFilesystem
     from repro.errors import KernelBug, RecoveryFailure
     from repro.obs import write_snapshot
@@ -243,6 +241,22 @@ def cmd_report(args) -> int:
             f"p99={(hist['p99'] or 0) * 1e6:.1f}us "
             f"min={(hist['min'] or 0) * 1e6:.1f}us max={(hist['max'] or 0) * 1e6:.1f}us"
         )
+    if fs.profiler is not None:
+        print()
+        print(format_table(
+            ["layer", "self_s", "share", "calls", "p50us", "p95us", "p99us"],
+            [
+                [
+                    layer,
+                    entry["self_seconds"],
+                    f"{entry['share'] * 100:.1f}%",
+                    entry["calls"],
+                    *((entry[q] or 0.0) * 1e6 for q in ("p50", "p95", "p99")),
+                ]
+                for layer, entry in fs.profiler.layer_summary().items()
+            ],
+            title="per-layer self-time (percentiles are of per-op self-time in that layer)",
+        ))
     timeline = fs.obs.tracer.timeline()
     if timeline:
         print()
@@ -312,40 +326,6 @@ def cmd_timeline(args) -> int:
         print()
     else:
         print(render_timeline(merged))
-    return 0
-
-
-def cmd_hotpath(args) -> int:
-    """rae-report hotpath: render a ``BENCH_hotpath.json`` artifact as
-    per-mix / per-layer tables with percentile columns."""
-    import json
-
-    from repro.bench.reporting import render_hotpath
-    from repro.obs.check import check_hotpath_payload
-
-    try:
-        with open(args.file, "r", encoding="utf-8") as f:
-            payload = json.load(f)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: {args.file}: not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    problems = check_hotpath_payload(payload)
-    if problems and not isinstance(payload.get("mixes"), dict):
-        print(
-            f"error: {args.file}: not a BENCH_hotpath artifact: {problems[0]}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        print()
-    else:
-        print(render_hotpath(payload))
-        for problem in problems:
-            print(f"note: {problem}", file=sys.stderr)
     return 0
 
 
@@ -437,11 +417,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--json", action="store_true", help="emit the merged timeline as JSON")
     p.set_defaults(func=cmd_timeline)
 
-    p = sub.add_parser("hotpath", help="render a BENCH_hotpath.json per-layer breakdown")
-    p.add_argument("file")
-    p.add_argument("--json", action="store_true", help="re-emit the artifact as JSON")
-    p.set_defaults(func=cmd_hotpath)
-
     p = sub.add_parser("experiments", help="regenerate all tables/figures/ablations")
     p.set_defaults(func=cmd_experiments)
 
@@ -455,11 +430,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def rae_report_main() -> int:
     """Console-script entry: ``rae-report`` dispatches to its own
-    subcommands (``report``/``bundle``/``timeline``/``hotpath``) when
-    named, and defaults to ``report`` so ``rae-report --ops 500`` keeps
+    subcommands (``report``/``bundle``/``timeline``) when named, and
+    defaults to ``report`` so ``rae-report --ops 500`` keeps
     working."""
     argv = sys.argv[1:]
-    if argv and argv[0] in ("report", "bundle", "timeline", "hotpath"):
+    if argv and argv[0] in ("report", "bundle", "timeline"):
         return main(argv)
     return main(["report", *argv])
 

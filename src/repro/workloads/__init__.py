@@ -20,9 +20,7 @@ Filebench-style profiles drive every performance experiment:
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.profiles import (
     Profile,
-    churn_profile,
     fileserver_profile,
-    lookup_profile,
     metadata_profile,
     varmail_profile,
     webserver_profile,
@@ -35,8 +33,6 @@ __all__ = [
     "varmail_profile",
     "webserver_profile",
     "metadata_profile",
-    "churn_profile",
-    "lookup_profile",
     "WorkloadGenerator",
     "SimulatedApplication",
     "AppStats",

@@ -89,44 +89,6 @@ def webserver_profile() -> Profile:
     )
 
 
-def churn_profile() -> Profile:
-    """Create/unlink-heavy: short-lived files, allocator + dentry churn
-    (the ``rae-bench`` create_unlink_heavy mix)."""
-    return Profile(
-        name="churn",
-        weights={
-            "create": 4.0,
-            "unlink": 3.0,
-            "mkdir": 1.0,
-            "rmdir": 0.5,
-            "stat": 1.0,
-            "write": 0.5,
-            "fsync": 0.3,
-        },
-        prepopulate_files=8,
-        file_size_blocks=(0, 2),
-        io_size=(256, 2048),
-    )
-
-
-def lookup_profile() -> Profile:
-    """Lookup-heavy: stat/readdir/open over a pre-populated tree, the
-    path-resolution and dentry-cache hot path (``rae-bench``
-    lookup_heavy mix)."""
-    return Profile(
-        name="lookup",
-        weights={
-            "stat": 6.0,
-            "readdir": 2.0,
-            "open_close": 2.0,
-            "read": 1.0,
-        },
-        prepopulate_files=48,
-        file_size_blocks=(1, 2),
-        io_size=(512, 2048),
-    )
-
-
 def metadata_profile() -> Profile:
     """Namespace churn: the dentry/inode-cache stress test."""
     return Profile(

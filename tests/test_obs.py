@@ -349,7 +349,7 @@ class TestShadowStaysInstrumentationFree:
 
     def test_forensics_modules_exist_and_stay_out_of_the_closure(self):
         """The forensics subsystem (events, flight recorder, bundles,
-        artifact gate) must be present in the scanned tree — a rename
+        profiler) must be present in the scanned tree — a rename
         would silently drop it from the transitive check above — and
         must never be imported, even indirectly, from shadowfs/ or
         spec/.  The divergence capture runs supervisor-side via the
@@ -359,7 +359,6 @@ class TestShadowStaysInstrumentationFree:
             "repro.obs.events",
             "repro.obs.flight",
             "repro.obs.forensics",
-            "repro.obs.check",
             "repro.obs.prof",
             "repro.obs.prof.profiler",
         }
@@ -376,6 +375,14 @@ class TestShadowStaysInstrumentationFree:
         for module, imports in shadow_modules.items():
             hits = imports & forensics_modules
             assert not hits, f"{module} imports forensics modules {sorted(hits)}"
+
+    def test_artifact_gate_module_is_gone(self):
+        """``repro.obs.check`` policed the two ``BENCH_*.json`` artifacts
+        retired with rae-bench; nothing re-exports it."""
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.obs.check")
 
     def test_lint_rule_flags_obs_import_in_shadowfs(self, tmp_path):
         from tests.test_static_analysis import analyze_tree, write_tree
@@ -398,8 +405,8 @@ class TestShadowStaysInstrumentationFree:
 
 
 class TestExport:
-    def test_write_snapshot_and_bench_sections(self, tmp_path):
-        from repro.obs import flush_bench_obs, record_section, write_snapshot
+    def test_write_snapshot(self, tmp_path):
+        from repro.obs import write_snapshot
 
         reg = Registry(clock=FakeClock())
         reg.counter("c").inc()
@@ -407,15 +414,6 @@ class TestExport:
         payload = json.loads(Path(path).read_text())
         assert payload["meta"] == {"run": 1}
         assert payload["snapshot"]["counters"] == {"c": 1}
-
-        record_section("bench_a", reg, extra={"ops": 10})
-        out = flush_bench_obs(str(tmp_path / "BENCH_obs.json"))
-        bench = json.loads(Path(out).read_text())
-        assert bench["schema"] == 1
-        assert bench["sections"]["bench_a"]["extra"] == {"ops": 10}
-        # flushing clears the staging area
-        empty = json.loads(Path(flush_bench_obs(str(tmp_path / "empty.json"))).read_text())
-        assert empty["sections"] == {}
 
     def test_write_snapshot_is_crash_safe(self, tmp_path):
         """write_snapshot goes through atomic_write_json: a payload that

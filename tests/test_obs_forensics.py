@@ -189,62 +189,6 @@ class TestHistogramPercentiles:
 
 
 # ---------------------------------------------------------------------------
-# Crash-safe BENCH_obs.json flush
-
-
-class TestFlushCrashSafety:
-    def test_flush_leaves_no_temp_file(self, tmp_path):
-        from repro.obs import flush_bench_obs, record_section
-
-        reg = __import__("repro.obs", fromlist=["Registry"]).Registry(clock=FakeClock())
-        record_section("a", reg)
-        target = tmp_path / "BENCH_obs.json"
-        flush_bench_obs(str(target))
-        assert target.exists()
-        assert not (tmp_path / "BENCH_obs.json.tmp").exists()
-        assert json.loads(target.read_text())["schema"] == 1
-
-    def test_failed_flush_clears_staging_and_temp(self, tmp_path):
-        from repro.obs import flush_bench_obs, record_section
-        from repro.obs.export import _sections
-
-        reg = __import__("repro.obs", fromlist=["Registry"]).Registry(clock=FakeClock())
-        record_section("a", reg)
-        # os.replace onto a directory fails after the temp write succeeds.
-        target = tmp_path / "adir"
-        target.mkdir()
-        with pytest.raises(OSError):
-            flush_bench_obs(str(target))
-        assert _sections == {}
-        assert not (tmp_path / "adir.tmp").exists()
-
-    def test_interrupted_write_preserves_previous_artifact(self, tmp_path, monkeypatch):
-        from repro.obs import flush_bench_obs, record_section
-
-        reg = __import__("repro.obs", fromlist=["Registry"]).Registry(clock=FakeClock())
-        record_section("good", reg)
-        target = tmp_path / "BENCH_obs.json"
-        flush_bench_obs(str(target))
-        before = target.read_text()
-
-        record_section("bad", reg)
-        # Break the stage->rename step inside the shared atomic writer:
-        # the failure must surface and the previous artifact must survive.
-        import repro.util as util
-
-        monkeypatch.setattr(
-            util.os, "replace",
-            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("disk full")),
-        )
-        with pytest.raises(RuntimeError):
-            flush_bench_obs(str(target))
-        # Readers still see the previous complete artifact, and the
-        # staging temp file is cleaned up.
-        assert target.read_text() == before
-        assert not (tmp_path / "BENCH_obs.json.tmp").exists()
-
-
-# ---------------------------------------------------------------------------
 # Bundle primitives
 
 

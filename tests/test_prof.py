@@ -126,6 +126,19 @@ class TestSupervisorAttachment:
         assert summary["device"]["calls"] > 0  # fsync reached the device
         assert sum(e["share"] for e in summary.values()) == pytest.approx(1.0)
 
+    def test_every_flushed_op_is_an_api_call(self):
+        """``FsOp.apply`` calls ``fstat_ino`` after each successful open
+        and ``fstat_ino`` bypasses ``_call``: left unwrapped at the api
+        layer, its bare vfs frame is flushed as a phantom operation."""
+        from repro.workloads import WorkloadGenerator, varmail_profile
+
+        fs = RAEFilesystem(formatted_device(4096))
+        operations = WorkloadGenerator(varmail_profile(), seed=7).ops(120)
+        for index, operation in enumerate(operations):
+            operation.apply(fs, opseq=index + 1)
+        assert any(operation.name == "open" for operation in operations)
+        assert fs.profiler.ops == fs.profiler.calls["api"]
+
     def test_prof_collector_lands_in_registry_snapshot(self):
         fs = RAEFilesystem(formatted_device(4096))
         fs.mkdir("/a")
@@ -248,3 +261,34 @@ class TestDeterministicDeviceAttribution:
         for layer in LAYERS:
             if layer != "device":
                 assert summary[layer]["self_seconds"] == pytest.approx(0.0)
+
+    def test_seeded_device_sleep_dominates_the_table(self):
+        """Real clock, generator workload: a sleep seeded into the raw
+        device's ``write_block`` makes the device layer dominate the
+        breakdown instead of being a rounding error."""
+        import time
+
+        from repro.workloads import WorkloadGenerator, varmail_profile
+
+        operations = WorkloadGenerator(varmail_profile(), seed=11).ops(60)
+
+        def device_layer(slow: bool) -> dict:
+            device = formatted_device(4096)
+            if slow:
+                real_write = device.write_block
+
+                def write_block(block_no, data):
+                    time.sleep(0.002)  # the seeded synthetic regression
+                    return real_write(block_no, data)
+
+                device.write_block = write_block
+            fs = RAEFilesystem(device)
+            for index, operation in enumerate(operations):
+                operation.apply(fs, opseq=index + 1)
+            return fs.profiler.layer_summary()["device"]
+
+        clean, slowed = device_layer(False), device_layer(True)
+        assert slowed["calls"] > 0
+        assert slowed["share"] > clean["share"]
+        assert slowed["share"] > 0.5
+        assert slowed["self_seconds"] > clean["self_seconds"] * 5

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.obs.check import main as check_main
 from repro.tools import main as tools_main, rae_report_main
 
 
@@ -31,6 +30,22 @@ class TestReportCommand:
         assert "p50=" in captured.out
         assert "p95=" in captured.out
         assert "p99=" in captured.out
+
+    def test_report_prints_the_layer_table(self, tmp_path, capsys):
+        from repro.obs.prof import LAYERS
+
+        code, captured = _run_report(tmp_path, capsys)
+        assert code == 0
+        lines = captured.out.splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("per-layer self-time"))
+        assert lines[start + 1].split() == ["layer", "self_s", "share", "calls", "p50us", "p95us", "p99us"]
+        rows = [line.split() for line in lines[start + 3 : start + 3 + len(LAYERS)]]
+        assert [row[0] for row in rows] == list(LAYERS)
+        assert sum(float(row[2].rstrip("%")) for row in rows) == pytest.approx(100.0, abs=0.5)
+        metrics = dict(
+            line.strip().split(" = ") for line in lines if line.startswith("  prof.")
+        )
+        assert metrics["prof.ops"] == metrics["prof.api.calls"]
 
     def test_report_json_export_includes_events(self, tmp_path, capsys):
         snap_path = tmp_path / "snap.json"
@@ -167,127 +182,16 @@ class TestConsoleScriptDispatch:
         assert rae_report_main() == 2
 
 
-class TestBenchObsSchemaGate:
-    def test_missing_artifact_fails(self, tmp_path, capsys):
-        assert check_main([str(tmp_path / "nope.json")]) == 1
-        assert "cannot read" in capsys.readouterr().err
-
-    def test_corrupt_artifact_fails(self, tmp_path, capsys):
-        bad = tmp_path / "BENCH_obs.json"
-        bad.write_text('{"schema": 1, "sections"')  # truncated write
-        assert check_main([str(bad)]) == 1
-        assert "not valid JSON" in capsys.readouterr().err
-
-    def test_wrong_schema_or_empty_sections_fail(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_obs.json"
-        target.write_text(json.dumps({"schema": 99, "sections": {"a": {"snapshot": {}}}}))
-        assert check_main([str(target)]) == 1
-        target.write_text(json.dumps({"schema": 1, "sections": {}}))
-        assert check_main([str(target)]) == 1
-        target.write_text(json.dumps({"schema": 1, "sections": {"a": {}}}))
-        assert check_main([str(target)]) == 1
-
-    def test_valid_artifact_passes(self, tmp_path, capsys):
-        from repro.obs import Registry, flush_bench_obs, record_section
-
-        reg = Registry()
-        record_section("bench_a", reg)
-        target = flush_bench_obs(str(tmp_path / "BENCH_obs.json"))
-        assert check_main([target]) == 0
-        assert "ok (1 sections" in capsys.readouterr().out
-
-
-class TestSchemaGateMultiArtifact:
-    """The generalized gate: several artifacts, one invocation, each
-    validated against its own schema (kind by filename, then content)."""
-
-    def _valid_obs(self, tmp_path):
-        from repro.obs import Registry, flush_bench_obs, record_section
-
-        reg = Registry()
-        record_section("bench_a", reg)
-        return flush_bench_obs(str(tmp_path / "BENCH_obs.json"))
-
-    def _valid_hotpath(self, tmp_path, name="BENCH_hotpath.json"):
-        from tests.test_hotpath_bench import _valid_artifact
-
-        path = tmp_path / name
-        path.write_text(json.dumps(_valid_artifact()))
-        return str(path)
-
-    def test_both_kinds_in_one_invocation(self, tmp_path, capsys):
-        obs = self._valid_obs(tmp_path)
-        hotpath = self._valid_hotpath(tmp_path)
-        assert check_main([obs, hotpath]) == 0
-        out = capsys.readouterr().out
-        assert "ok (1 sections" in out
-        assert "ok (4 mixes" in out
-
-    def test_any_failing_artifact_fails_the_whole_gate(self, tmp_path, capsys):
-        obs = self._valid_obs(tmp_path)
-        missing = str(tmp_path / "BENCH_hotpath.json")
-        assert check_main([obs, missing]) == 1
-        captured = capsys.readouterr()
-        assert "ok (1 sections" in captured.out  # the good one still reports
-        assert "cannot read" in captured.err
-
-    def test_content_sniff_on_renamed_artifact(self, tmp_path, capsys):
-        renamed = self._valid_hotpath(tmp_path, name="renamed-copy.json")
-        assert check_main([renamed]) == 0
-        assert "ok (4 mixes" in capsys.readouterr().out
-
-    def test_unrecognized_artifact_fails(self, tmp_path, capsys):
-        other = tmp_path / "other.json"
-        other.write_text('{"schema": 1}')
-        assert check_main([str(other)]) == 1
-        assert "unrecognized artifact" in capsys.readouterr().err
-
-    def test_hotpath_schema_violations_fail(self, tmp_path, capsys):
-        from tests.test_hotpath_bench import _valid_artifact
-
-        payload = _valid_artifact()
-        del payload["meta"]["calibration_score"]
-        payload["mixes"]["read_heavy"]["layers"].pop("device")
-        bad = tmp_path / "BENCH_hotpath.json"
-        bad.write_text(json.dumps(payload))
-        assert check_main([str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert "calibration_score" in err
-        assert "layers must be exactly" in err
-
-
-class TestHotpathCommand:
-    @pytest.fixture
-    def artifact_path(self, tmp_path):
-        from tests.test_hotpath_bench import _valid_artifact
-
-        path = tmp_path / "BENCH_hotpath.json"
-        path.write_text(json.dumps(_valid_artifact()))
-        return path
-
-    def test_renders_layer_tables(self, artifact_path, capsys):
-        assert tools_main(["hotpath", str(artifact_path)]) == 0
-        out = capsys.readouterr().out
-        assert "hot-path throughput" in out
-        assert "per-layer self-time" in out
-        assert "p99us" in out
-
-    def test_json_re_emit(self, artifact_path, capsys):
-        assert tools_main(["hotpath", str(artifact_path), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert set(payload["mixes"]) >= {"read_heavy", "write_heavy"}
-
-    def test_missing_file_exits_2(self, tmp_path, capsys):
-        assert tools_main(["hotpath", str(tmp_path / "nope.json")]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_wrong_shape_exits_2(self, tmp_path, capsys):
-        other = tmp_path / "other.json"
-        other.write_text('{"sections": {}}')
-        assert tools_main(["hotpath", str(other)]) == 2
-        assert "not a BENCH_hotpath artifact" in capsys.readouterr().err
-
-    def test_console_script_dispatch(self, artifact_path, monkeypatch, capsys):
-        monkeypatch.setattr("sys.argv", ["rae-report", "hotpath", str(artifact_path)])
-        assert rae_report_main() == 0
-        assert "per-layer self-time" in capsys.readouterr().out
+    def test_retired_hotpath_subcommand_is_rejected(self, tmp_path, monkeypatch, capsys):
+        """No alias is left behind: the name is neither a tools subcommand
+        nor a rae-report dispatch word (it falls through to ``report``,
+        whose parser rejects the stray positionals)."""
+        artifact = str(tmp_path / "x.json")
+        with pytest.raises(SystemExit) as excinfo:
+            tools_main(["hotpath", artifact])
+        assert excinfo.value.code == 2
+        monkeypatch.setattr("sys.argv", ["rae-report", "hotpath", artifact])
+        with pytest.raises(SystemExit) as excinfo:
+            rae_report_main()
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
