@@ -611,9 +611,13 @@ class RAEFilesystem(FilesystemAPI):
             f"{len(self.oplog)} ops in the current window",
         ]
         for event in self.stats.events:
+            # §4.3 prices recovery in op-log length: show the unit price.
+            per_op = (
+                f" ({event.total_seconds * 1e6 / event.replayed_ops:.0f} µs/op)" if event.replayed_ops else ""
+            )
             lines.append(
                 f"  - {event.detected}: replayed {event.replayed_ops} ops in "
-                f"{event.total_seconds * 1000:.1f} ms"
+                f"{event.total_seconds * 1000:.1f} ms{per_op}"
                 + (f", {event.discrepancies} discrepancies" if event.discrepancies else "")
             )
         lines.append(

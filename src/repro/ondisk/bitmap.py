@@ -15,6 +15,15 @@ from __future__ import annotations
 from repro.ondisk.layout import BLOCK_SIZE
 
 
+def bit_in_block(block: bytes, nbits: int, bit: int) -> bool:
+    """Bit ``bit`` of a serialized bitmap block, read in place — for
+    readers that want one bit and would otherwise copy the whole block
+    into a :class:`Bitmap` to ask for it."""
+    if not 0 <= bit < nbits:
+        raise ValueError(f"bit {bit} out of range [0, {nbits})")
+    return bool(block[bit >> 3] & (1 << (bit & 7)))
+
+
 class Bitmap:
     """A fixed-size bit vector with find-free support.
 
@@ -45,8 +54,7 @@ class Bitmap:
             raise ValueError(f"bit {bit} out of range [0, {self.nbits})")
 
     def test(self, bit: int) -> bool:
-        self._check(bit)
-        return bool(self._bytes[bit >> 3] & (1 << (bit & 7)))
+        return bit_in_block(self._bytes, self.nbits, bit)
 
     def set(self, bit: int) -> None:
         self._check(bit)
@@ -56,19 +64,25 @@ class Bitmap:
         self._check(bit)
         self._bytes[bit >> 3] &= ~(1 << (bit & 7)) & 0xFF
 
+    def _value(self) -> int:
+        """The logical bits as one integer (bit ``i`` of the map is bit
+        ``i`` of the value); serialized bits beyond ``nbits`` are dropped."""
+        return int.from_bytes(self._bytes[: (self.nbits + 7) >> 3], "little") & ((1 << self.nbits) - 1)
+
     def find_free(self, start: int = 0) -> int | None:
         """First clear bit at or after ``start`` (wrapping), or None if full.
 
         The wrap-around search is what the base's locality-seeking allocator
         relies on: it passes a goal bit and takes the nearest free one.
         """
-        if self.nbits == 0:
-            return None
-        start = start % self.nbits
-        for i in range(self.nbits):
-            bit = (start + i) % self.nbits
-            if not self.test(bit):
-                return bit
+        start %= self.nbits
+        free = self._value() ^ ((1 << self.nbits) - 1)
+        # x & -x isolates the lowest set bit of x.
+        ahead = free >> start
+        if ahead:
+            return start + (ahead & -ahead).bit_length() - 1
+        if free:
+            return (free & -free).bit_length() - 1
         return None
 
     def find_free_run(self, length: int, start: int = 0) -> int | None:
@@ -86,14 +100,7 @@ class Bitmap:
         return None
 
     def count_set(self) -> int:
-        total = 0
-        full_bytes, rem = divmod(self.nbits, 8)
-        for i in range(full_bytes):
-            total += self._bytes[i].bit_count()
-        for bit in range(full_bytes * 8, full_bytes * 8 + rem):
-            if self._bytes[bit >> 3] & (1 << (bit & 7)):
-                total += 1
-        return total
+        return self._value().bit_count()
 
     def count_free(self) -> int:
         return self.nbits - self.count_set()

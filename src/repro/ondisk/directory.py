@@ -25,12 +25,17 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.ondisk.inode import FileType
+from repro.ondisk.inode import FileType, file_type
 from repro.ondisk.layout import BLOCK_SIZE
 
 MAX_NAME_LEN = 255
 _HEADER = "<IHBB"
 _HEADER_SIZE = struct.calcsize(_HEADER)  # 8
+_unpack_header = struct.Struct(_HEADER).unpack_from
+# Every name of at most this many characters encodes to <= MAX_NAME_LEN
+# bytes (UTF-8 spends at most 4 per character), so only longer names
+# need encoding to be measured.
+_SURELY_FITS = MAX_NAME_LEN // 4
 
 
 def entry_size(name_len: int) -> int:
@@ -51,7 +56,7 @@ class DirEntry:
     def __post_init__(self):
         if not self.name:
             raise ValueError("empty directory entry name")
-        if len(self.name.encode()) > MAX_NAME_LEN:
+        if len(self.name) > _SURELY_FITS and len(self.name.encode()) > MAX_NAME_LEN:
             raise ValueError(f"name too long: {self.name[:32]}...")
 
 
@@ -80,11 +85,12 @@ class DirBlock:
         """Yield ``(offset, ino, rec_len, name_len, file_type)`` for every
         record — live and free — validating the chain as it goes."""
         records = []
+        data = self._data
         offset = 0
         while offset < BLOCK_SIZE:
             if offset + _HEADER_SIZE > BLOCK_SIZE:
                 raise ValueError(f"directory record header at {offset} crosses block end")
-            ino, rec_len, name_len, ftype = struct.unpack_from(_HEADER, self._data, offset)
+            ino, rec_len, name_len, ftype = _unpack_header(data, offset)
             if rec_len < _HEADER_SIZE:
                 raise ValueError(f"directory record at {offset} has rec_len {rec_len} < header size")
             if rec_len % 4 != 0:
@@ -101,19 +107,36 @@ class DirBlock:
 
     def entries(self) -> list[DirEntry]:
         """All live entries in block order."""
+        data = self._data
         out = []
         for offset, ino, _rec_len, name_len, ftype in self._records():
             if ino == 0:
                 continue
-            name = self._data[offset + _HEADER_SIZE : offset + _HEADER_SIZE + name_len].decode()
-            out.append(DirEntry(ino=ino, name=name, ftype=FileType(ftype), offset=offset))
+            start = offset + _HEADER_SIZE
+            out.append(DirEntry(ino, data[start : start + name_len].decode(), file_type(ftype), offset))
         return out
 
     def find(self, name: str) -> DirEntry | None:
-        for entry in self.entries():
-            if entry.name == name:
-                return entry
-        return None
+        """The live entry called ``name``, or None.
+
+        Names are compared as stored, so only the match becomes a
+        :class:`DirEntry`.  The whole block is still validated as
+        :meth:`entries` validates it — chain, file types, no empty
+        name — except that the *other* names are not decoded."""
+        encoded = name.encode()
+        wanted = len(encoded)
+        data = self._data
+        found = None
+        for offset, ino, _rec_len, name_len, ftype in self._records():
+            if ino == 0:
+                continue
+            kind = file_type(ftype)
+            if name_len == 0:
+                raise ValueError("empty directory entry name")
+            start = offset + _HEADER_SIZE
+            if found is None and name_len == wanted and data[start : start + wanted] == encoded:
+                found = DirEntry(ino, name, kind, offset)
+        return found
 
     # ---- mutation ----------------------------------------------------------
 

@@ -37,6 +37,18 @@ class FileType(enum.IntEnum):
     SYMLINK = 3
 
 
+_FILE_TYPES = {member.value: member for member in FileType}
+
+
+def file_type(raw: int) -> FileType:
+    """``FileType(raw)`` by table lookup — the enum call costs several
+    times a dict hit, and every inode type test and directory entry
+    parse goes through here.  An unknown value takes the enum call and
+    so raises its ``ValueError``."""
+    member = _FILE_TYPES.get(raw)
+    return member if member is not None else FileType(raw)
+
+
 _TYPE_SHIFT = 12
 _PERM_MASK = 0o7777
 
@@ -80,11 +92,7 @@ class OnDiskInode:
 
     @property
     def ftype(self) -> FileType:
-        raw = self.mode >> _TYPE_SHIFT
-        try:
-            return FileType(raw)
-        except ValueError:
-            return FileType.NONE
+        return _FILE_TYPES.get(self.mode >> _TYPE_SHIFT, FileType.NONE)
 
     @property
     def perms(self) -> int:

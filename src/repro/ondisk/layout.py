@@ -26,6 +26,7 @@ implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 BLOCK_SIZE = 4096
 INODE_SIZE = 256
@@ -76,20 +77,29 @@ class DiskLayout:
                 f"group 0 metadata ({min_group0} blocks) does not fit in a "
                 f"{self.blocks_per_group}-block group"
             )
+        last_group = self.block_count - (self.group_count - 1) * self.blocks_per_group
+        if last_group < 2 + self.inode_table_blocks:
+            raise ValueError(
+                f"last group ({last_group} blocks) cannot hold its own metadata "
+                f"({2 + self.inode_table_blocks} blocks)"
+            )
 
     # ---- derived sizes -------------------------------------------------
+    # Computed once per (immutable) layout: every range check below reads
+    # them.  cached_property stores into the instance dict directly, which
+    # a frozen dataclass allows; equality and repr still see only the fields.
 
-    @property
+    @cached_property
     def inode_table_blocks(self) -> int:
         """Blocks occupied by one group's inode table."""
         return self.inodes_per_group // INODES_PER_BLOCK
 
-    @property
+    @cached_property
     def group_count(self) -> int:
         """Number of (possibly partial-last) block groups."""
         return (self.block_count + self.blocks_per_group - 1) // self.blocks_per_group
 
-    @property
+    @cached_property
     def inode_count(self) -> int:
         """Total inodes on the image."""
         return self.group_count * self.inodes_per_group
@@ -112,16 +122,15 @@ class DiskLayout:
 
     def group_block_count(self, group: int) -> int:
         """Blocks actually present in ``group`` (the last may be short)."""
-        self.check_group(group)
         start = self.group_start(group)
         return min(self.blocks_per_group, self.block_count - start)
 
     def _meta_start(self, group: int) -> int:
-        """First metadata block of ``group`` (after SB+journal in group 0)."""
-        start = self.group_start(group)
+        """First metadata block of ``group`` (after SB+journal in group 0);
+        the caller has range-checked ``group``."""
         if group == 0:
-            return start + 1 + self.journal_blocks
-        return start
+            return 1 + self.journal_blocks
+        return group * self.blocks_per_group
 
     def block_bitmap_block(self, group: int) -> int:
         self.check_group(group)
@@ -138,7 +147,7 @@ class DiskLayout:
     def data_start(self, group: int) -> int:
         """First general-purpose data block of ``group``."""
         self.check_group(group)
-        return self.inode_table_start(group) + self.inode_table_blocks
+        return self._meta_start(group) + 2 + self.inode_table_blocks
 
     def metadata_blocks(self, group: int) -> list[int]:
         """Every block of ``group`` reserved for metadata (incl. SB/journal)."""
@@ -159,13 +168,15 @@ class DiskLayout:
         return block // self.blocks_per_group
 
     def is_metadata_block(self, block: int) -> bool:
-        """True if ``block`` holds format metadata (never file data)."""
-        group = self.group_of_block(block)
-        return block in self.metadata_blocks(group)
+        """True if ``block`` holds format metadata (never file data).
+
+        A group's metadata is one run from its first block to
+        ``data_start`` — ``__post_init__`` rejected any geometry whose
+        last group is too short to hold that run."""
+        return block < self.data_start(self.group_of_block(block))
 
     def data_blocks_in_group(self, group: int) -> range:
         """The data-block range of ``group``."""
-        self.check_group(group)
         start = self.group_start(group)
         return range(self.data_start(group), start + self.group_block_count(group))
 

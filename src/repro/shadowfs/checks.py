@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 from repro.errors import InvariantViolation
-from repro.ondisk.directory import DirBlock
+from repro.ondisk.directory import DirBlock, DirEntry
 from repro.ondisk.inode import FileType, MAX_FILE_SIZE, OnDiskInode
 from repro.ondisk.layout import BLOCK_SIZE, DiskLayout
 from repro.ondisk.superblock import STATE_CLEAN, STATE_DIRTY, Superblock
@@ -58,7 +59,7 @@ class ShadowChecks:
         self.stats.checks_run += 1
         self.stats.by_name[name] = self.stats.by_name.get(name, 0) + 1
 
-    def _fail(self, name: str, message: str) -> None:
+    def _fail(self, name: str, message: str) -> NoReturn:
         self.stats.failures += 1
         raise InvariantViolation(message, check=name)
 
@@ -139,18 +140,25 @@ class ShadowChecks:
 
     # ---- directories ---------------------------------------------------------
 
-    def dir_block(self, ino: int, block: int, raw: bytes) -> None:
+    def dir_block(self, ino: int, block: int, raw: bytes) -> list[DirEntry]:
+        """Parse one directory block and return its live entries.
+
+        The parse happens here, once, at every level (below BASIC it is
+        all that happens, and a malformed block raises the parser's
+        ``ValueError``), and the caller works on the entries it gets
+        back rather than parsing the block again."""
         if self.level < CheckLevel.BASIC:
-            return
+            return DirBlock(raw).entries()
         self._ran("dir-block")
         try:
             entries = DirBlock(raw).entries()
         except ValueError as exc:
             self._fail("dir-block", f"directory {ino} block {block} is malformed: {exc}")
-            return
+        inode_count = self.layout.inode_count
         for entry in entries:
-            if not 1 <= entry.ino <= self.layout.inode_count:
+            if not 1 <= entry.ino <= inode_count:
                 self._fail("dir-block", f"directory {ino} entry {entry.name!r} points at inode {entry.ino}")
+        return entries
 
     def dir_has_dots(self, ino: int, names: set[str]) -> None:
         if self.level < CheckLevel.BASIC:

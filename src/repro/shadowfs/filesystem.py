@@ -42,6 +42,7 @@ from repro.api import (
 from repro.basefs.vfs import FdState, FdTable
 from repro.blockdev.device import BlockDevice, WriteFencedDevice
 from repro.errors import DeviceError, Errno, FsError, InvariantViolation
+from repro.ondisk.bitmap import Bitmap, bit_in_block
 from repro.ondisk.directory import DirBlock, DirEntry
 from repro.ondisk.inode import (
     FileType,
@@ -172,25 +173,23 @@ class ShadowFilesystem(FilesystemAPI):
     # ------------------------------------------------------------------
     # bitmaps
 
-    def _read_block_bitmap(self, group: int):
-        from repro.ondisk.bitmap import Bitmap
-
+    def _read_block_bitmap(self, group: int) -> Bitmap:
         return Bitmap.from_block(self.layout.blocks_per_group, self._read_block(self.layout.block_bitmap_block(group)))
 
-    def _read_inode_bitmap(self, group: int):
-        from repro.ondisk.bitmap import Bitmap
-
+    def _read_inode_bitmap(self, group: int) -> Bitmap:
         return Bitmap.from_block(self.layout.inodes_per_group, self._read_block(self.layout.inode_bitmap_block(group)))
 
     def _block_is_allocated(self, block: int) -> bool:
-        group = self.layout.group_of_block(block)
-        bit = block - self.layout.group_start(group)
-        return self._read_block_bitmap(group).test(bit)
+        layout = self.layout
+        group = layout.group_of_block(block)
+        raw = self._read_block(layout.block_bitmap_block(group))
+        return bit_in_block(raw, layout.blocks_per_group, block - layout.group_start(group))
 
     def _ino_is_allocated(self, ino: int) -> bool:
-        group = self.layout.group_of_ino(ino)
-        bit = self.layout.ino_index_in_group(ino)
-        return self._read_inode_bitmap(group).test(bit)
+        layout = self.layout
+        group = layout.group_of_ino(ino)
+        raw = self._read_block(layout.inode_bitmap_block(group))
+        return bit_in_block(raw, layout.inodes_per_group, layout.ino_index_in_group(ino))
 
     def _alloc_block(self) -> int:
         """First-fit block allocation, groups scanned from zero."""
@@ -208,7 +207,9 @@ class ShadowFilesystem(FilesystemAPI):
             return self.layout.group_start(group) + bit
         raise FsError(Errno.ENOSPC, "all groups full")
 
-    def _free_block(self, block: int) -> None:
+    def _free_block(self, block: int, page: tuple[int, int] | None = None) -> None:
+        """Free ``block``; ``page`` is the ``(ino, logical)`` it held file
+        data for, if it did — the one key ``data_pages`` can know it by."""
         group = self.layout.group_of_block(block)
         if self.layout.is_metadata_block(block):
             raise InvariantViolation(f"attempt to free metadata block {block}", check="free-metadata-block")
@@ -222,9 +223,8 @@ class ShadowFilesystem(FilesystemAPI):
         self._sb_flush()
         self.overlay.blocks.pop(block, None)
         self.overlay.roles.pop(block, None)
-        for key, physical in list(self.overlay.data_pages.items()):
-            if physical == block:
-                del self.overlay.data_pages[key]
+        if page is not None:
+            self.overlay.data_pages.pop(page, None)
 
     def _alloc_inode(self) -> int:
         """First-fit inode allocation — or the constrained-mode hint.
@@ -385,14 +385,14 @@ class ShadowFilesystem(FilesystemAPI):
         inode = ref.inode
         for logical in range(keep_blocks, N_DIRECT):
             if inode.direct[logical]:
-                self._free_block(inode.direct[logical])
+                self._free_block(inode.direct[logical], page=(ref.ino, logical))
                 inode.direct[logical] = 0
         if inode.indirect:
             start = max(0, keep_blocks - N_DIRECT)
             pointers = unpack_pointers(self._read_block(inode.indirect))
             for i in range(start, PTRS_PER_BLOCK):
                 if pointers[i]:
-                    self._free_block(pointers[i])
+                    self._free_block(pointers[i], page=(ref.ino, N_DIRECT + i))
                     pointers[i] = 0
             if start == 0:
                 self._free_block(inode.indirect)
@@ -412,7 +412,7 @@ class ShadowFilesystem(FilesystemAPI):
                 inner = unpack_pointers(self._read_block(outer[oi]))
                 for ii in range(inner_start, PTRS_PER_BLOCK):
                     if inner[ii]:
-                        self._free_block(inner[ii])
+                        self._free_block(inner[ii], page=(ref.ino, dbl_base + oi * PTRS_PER_BLOCK + ii))
                         inner[ii] = 0
                 if inner_start == 0:
                     self._free_block(outer[oi])
@@ -441,19 +441,15 @@ class ShadowFilesystem(FilesystemAPI):
     def _dir_entries(self, ref: Ref) -> list[DirEntry]:
         entries: list[DirEntry] = []
         for block in self._dir_blocks(ref):
-            raw = self._read_block(block)
-            self.checks.dir_block(ref.ino, block, raw)
-            entries.extend(DirBlock(raw).entries())
+            entries.extend(self.checks.dir_block(ref.ino, block, self._read_block(block)))
         self.checks.dir_has_dots(ref.ino, {e.name for e in entries})
         return entries
 
     def _dir_find(self, ref: Ref, name: str) -> DirEntry | None:
         for block in self._dir_blocks(ref):
-            raw = self._read_block(block)
-            self.checks.dir_block(ref.ino, block, raw)
-            entry = DirBlock(raw).find(name)
-            if entry is not None:
-                return entry
+            for entry in self.checks.dir_block(ref.ino, block, self._read_block(block)):
+                if entry.name == name:
+                    return entry
         return None
 
     def _dir_is_empty(self, ref: Ref) -> bool:

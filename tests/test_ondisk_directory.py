@@ -1,5 +1,7 @@
 """Tests for repro.ondisk.directory."""
 
+import random
+
 import pytest
 
 from repro.ondisk.directory import MAX_NAME_LEN, DirBlock, DirEntry, entry_size
@@ -126,3 +128,115 @@ def test_direntry_rejects_bad_names():
 def test_wrong_block_size_rejected():
     with pytest.raises(ValueError):
         DirBlock(b"\x00" * 100)
+
+
+# ---- find against its reference -------------------------------------------
+
+
+def reference_find(block: DirBlock, name: str) -> DirEntry | None:
+    """The body find had before it compared names as stored: parse
+    every live record into a DirEntry, then look through them."""
+    for entry in block.entries():
+        if entry.name == name:
+            return entry
+    return None
+
+
+def _both(raw: bytes, name: str):
+    """(outcome of find, outcome of the reference), an outcome being the
+    entry found or the text of the ValueError raised."""
+    outcomes = []
+    for finder in (DirBlock.find, reference_find):
+        try:
+            outcomes.append(finder(DirBlock(raw), name))
+        except ValueError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    return outcomes
+
+
+def test_find_matches_reference_on_random_histories():
+    rng = random.Random(1515)
+    for _round in range(40):
+        block = DirBlock()
+        live: list[str] = []
+        gone: list[str] = []
+        for step in range(rng.randrange(1, 120)):
+            if live and rng.random() < 0.4:
+                name = live.pop(rng.randrange(len(live)))
+                assert block.remove(name)
+                gone.append(name)
+            else:
+                name = rng.choice(["f", "file", "файл", "a-much-longer-file-name-"]) * rng.randrange(1, 4) + str(step)
+                if block.insert(step + 1, name, rng.choice(list(FileType)[1:])):
+                    live.append(name)
+        raw = block.to_block()
+        for name in live + gone + ["", ".", "no-such-name"]:
+            fast, slow = _both(raw, name)
+            assert fast == slow, name
+            assert (fast is not None) == (name in live)
+
+
+def test_find_on_the_shapes_deletion_leaves_behind():
+    block = DirBlock()
+    for ino, name in enumerate(("ab", "abc", "a", "abcd-long-enough-to-leave-slack", "z"), start=1):
+        block.insert(ino, name, FileType.REGULAR)
+    block.remove("ab")  # leading free slot, rec_len kept
+    block.remove("abcd-long-enough-to-leave-slack")  # folded into "a"'s rec_len
+    block.insert(9, "abcdef", FileType.SYMLINK)  # too long for the leading slot: carved out of that slack
+    raw = block.to_block()
+    assert DirBlock(raw)._records()[0][1] == 0
+    for name in ("ab", "abc", "a", "abcdef", "abcd-long-enough-to-leave-slack", "z", "abcde", "b"):
+        fast, slow = _both(raw, name)
+        assert fast == slow, name
+    assert DirBlock(raw).find("abcdef").ino == 9 and DirBlock(raw).find("abc").ino == 2
+    assert DirBlock(raw).find("ab") is None  # a prefix of live names, itself deleted
+
+
+def _record(block: DirBlock, index: int) -> int:
+    return block._records()[index][0]
+
+
+@pytest.mark.parametrize(
+    "damage, text",
+    [
+        (lambda raw, at: raw.__setitem__(slice(at + 4, at + 6), (3).to_bytes(2, "little")), "< header size"),
+        (lambda raw, at: raw.__setitem__(slice(at + 4, at + 6), (14).to_bytes(2, "little")), "unaligned rec_len"),
+        (lambda raw, at: raw.__setitem__(slice(at + 4, at + 6), (BLOCK_SIZE).to_bytes(2, "little")), "overruns the block"),
+        (lambda raw, at: raw.__setitem__(at + 6, 200), "exceeds rec_len"),
+        (lambda raw, at: raw.__setitem__(at + 7, 9), "9 is not a valid FileType"),
+        (lambda raw, at: raw.__setitem__(at + 6, 0), "empty directory entry name"),
+    ],
+)
+def test_find_raises_what_the_reference_raises_on_a_malformed_block(damage, text):
+    block = DirBlock()
+    for ino, name in enumerate(("first", "second", "third"), start=1):
+        block.insert(ino, name, FileType.REGULAR)
+    raw = bytearray(block.to_block())
+    damage(raw, _record(block, 1))  # the damaged record sits *after* "first"
+    for name in ("first", "third", "absent"):
+        fast, slow = _both(bytes(raw), name)
+        assert isinstance(fast, str) and text in fast
+        assert fast == slow
+
+
+def test_find_does_not_decode_the_names_it_passes_over():
+    """The one input find is more lenient on than the reference: another
+    entry's name that is not UTF-8.  Listing the block still refuses it."""
+    block = DirBlock()
+    block.insert(1, "good", FileType.REGULAR)
+    block.insert(2, "evil", FileType.REGULAR)
+    raw = bytearray(block.to_block())
+    at = _record(block, 1) + 8
+    raw[at : at + 4] = b"\xff\xfe\xfd\xfc"
+    assert DirBlock(bytes(raw)).find("good").ino == 1
+    with pytest.raises(UnicodeDecodeError):
+        DirBlock(bytes(raw)).entries()
+
+
+def test_direntry_name_length_is_measured_in_bytes():
+    DirEntry(ino=1, name="é" * 127, ftype=FileType.REGULAR)  # 254 bytes
+    with pytest.raises(ValueError, match="name too long"):
+        DirEntry(ino=1, name="é" * 128, ftype=FileType.REGULAR)  # 256 bytes
+    DirEntry(ino=1, name="😀" * 63, ftype=FileType.REGULAR)  # 252 bytes
+    with pytest.raises(ValueError, match="name too long"):
+        DirEntry(ino=1, name="😀" * 64, ftype=FileType.REGULAR)

@@ -108,3 +108,81 @@ def test_rejects_impossible_geometry():
 def test_inode_count():
     layout = make(block_count=2500, blocks_per_group=1024, inodes_per_group=256)
     assert layout.inode_count == 3 * 256
+
+
+# ---- is_metadata_block against its reference ------------------------------
+
+
+def reference_is_metadata_block(layout: DiskLayout, block: int) -> bool:
+    """The list-membership body is_metadata_block had before it became
+    one comparison against the group's data start."""
+    group = layout.group_of_block(block)
+    return block in layout.metadata_blocks(group)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [
+        make(block_count=4096),
+        make(block_count=4096, journal_blocks=768),
+        make(block_count=2500),  # 452-block last group
+        make(block_count=3 * 1024 + 18, journal_blocks=768),  # last group is all metadata
+        make(block_count=700, blocks_per_group=128, inodes_per_group=32, journal_blocks=16),
+    ],
+    ids=["j256", "j768", "short-last", "j768-minimal-last", "small-groups"],
+)
+def test_is_metadata_block_matches_reference_on_every_block(layout):
+    for block in range(layout.block_count):
+        assert layout.is_metadata_block(block) == reference_is_metadata_block(layout, block), block
+    for bad in (-1, layout.block_count):
+        with pytest.raises(ValueError):
+            layout.is_metadata_block(bad)
+
+
+# ---- a last group too short for its own metadata --------------------------
+
+
+def test_last_group_must_hold_its_own_metadata():
+    # Default group sizes: a group's metadata is 2 bitmaps + 16 table blocks.
+    for block_count in (1025, 1030, 1041):
+        with pytest.raises(ValueError, match="last group"):
+            make(block_count=block_count)
+    layout = make(block_count=1042)
+    assert layout.group_count == 2
+    assert layout.metadata_blocks(1)[-1] == 1041 < layout.block_count
+    assert list(layout.data_blocks_in_group(1)) == []
+    assert make(block_count=1043).data_blocks_in_group(1) == range(1042, 1043)
+
+
+def test_mkfs_on_the_boundary_geometries():
+    from repro.blockdev.device import MemoryBlockDevice
+    from repro.fsck.checker import Fsck
+    from repro.ondisk.mkfs import mkfs
+
+    with pytest.raises(ValueError, match="last group"):
+        mkfs(MemoryBlockDevice(block_count=1035))
+    device = MemoryBlockDevice(block_count=1042)
+    mkfs(device)
+    assert Fsck(device).run().clean
+
+
+def test_crafted_superblock_with_short_last_group_is_refused_at_mount():
+    """A checksummed superblock claiming such a geometry is a parse
+    failure (ValueError) for both filesystems and an fsck finding, not a
+    stray out-of-range device access later."""
+    from repro.basefs.filesystem import BaseFilesystem
+    from repro.fsck.checker import Fsck
+    from repro.ondisk.superblock import Superblock
+    from repro.shadowfs.filesystem import ShadowFilesystem
+    from tests.conftest import formatted_device
+
+    device = formatted_device()
+    sb = Superblock.unpack(device.read_block(0))
+    sb.block_count = 3 * 1024 + 10
+    device.write_block(0, sb.pack())
+    for mount in (BaseFilesystem, ShadowFilesystem):
+        with pytest.raises(ValueError, match="last group"):
+            mount(device)
+    report = Fsck(device).run()
+    assert not report.clean
+    assert any(f.code == "sb-geometry" and "last group" in f.message for f in report.findings)

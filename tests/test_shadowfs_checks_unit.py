@@ -116,11 +116,26 @@ class TestDirChecks:
         block.insert(2, "x", FileType.REGULAR)
         basic(layout).dir_block(2, 200, block.to_block())
 
+    def test_dir_block_hands_back_what_it_parsed_at_every_level(self, layout):
+        block = DirBlock()
+        block.insert(2, "x", FileType.REGULAR)
+        block.insert(3, "y", FileType.DIRECTORY)
+        for checks, counted in ((off(layout), 0), (basic(layout), 1), (full(layout), 1)):
+            entries = checks.dir_block(2, 200, block.to_block())
+            assert entries == block.entries()
+            assert checks.stats.by_name.get("dir-block", 0) == counted
+
     def test_malformed_dir_block(self, layout):
         raw = bytearray(DirBlock().to_block())
         raw[4:6] = (2).to_bytes(2, "little")
         with pytest.raises(InvariantViolation, match="malformed"):
             basic(layout).dir_block(2, 200, bytes(raw))
+        # Below BASIC nothing is checked, but the block is still parsed
+        # (once) and the parser's own error surfaces.
+        checks = off(layout)
+        with pytest.raises(ValueError, match="rec_len 2 < header size"):
+            checks.dir_block(2, 200, bytes(raw))
+        assert checks.stats.checks_run == 0 and checks.stats.failures == 0
 
     def test_out_of_range_entry_ino(self, layout):
         block = DirBlock()

@@ -1,16 +1,20 @@
 """Tests for the replay engine: constrained/autonomous modes,
 cross-checking, fd registry install, fsync skipping."""
 
+import hashlib
+
 import pytest
 
-from repro.api import OpenFlags, op
+from repro.api import OpenFlags, OpResult, op
 from repro.basefs.filesystem import BaseFilesystem
 from repro.basefs.vfs import FdState
 from repro.core.oplog import OpLog
 from repro.errors import CrossCheckMismatch, Errno, RecoveryFailure
 from repro.ondisk.image import clone_to_memory
+from repro.shadowfs.checks import CheckLevel
 from repro.shadowfs.filesystem import ShadowFilesystem
 from repro.shadowfs.replay import ReplayEngine
+from repro.workloads import WorkloadGenerator, fileserver_profile
 from tests.conftest import formatted_device
 
 
@@ -177,3 +181,50 @@ def test_fd_registry_installed_before_replay():
     # The shadow wrote at the registry offset, not at zero.
     shadow2 = ShadowFilesystem(image)
     assert update.fd_table[fd].offset == len(b"committed") + len(b"-tail")
+
+
+# ---- differential replay: the hand-off and the check counts are pinned ----
+# Recorded on commit 698ae3e, before the ondisk primitives under the
+# shadow (bitmap scan, metadata test, directory parse) were replaced.  A
+# replacement that changes one byte of what replay hands to the base, or
+# runs one check more or fewer, fails here.
+
+PINNED_UPDATE_DIGEST = "901a80954ff8dbfcdf7c6caec0feecf62d66cfb92a8b8f4291a08c11a16e6a79"
+PINNED_CHECKS = {
+    CheckLevel.FULL: {
+        "block-allocated": 191, "block-pointer": 353, "dir-block": 82, "ino-allocated": 189,
+        "inode": 189, "input-op": 183, "superblock": 1, "superblock-counts": 1,
+    },
+    CheckLevel.BASIC: {"block-pointer": 353, "dir-block": 82, "inode": 189, "input-op": 183, "superblock": 1},
+    CheckLevel.OFF: {},
+}
+
+
+def update_digest(update) -> str:
+    digest = hashlib.sha256()
+    for block, data in sorted(update.metadata_blocks.items()):
+        digest.update(f"m{block}:{update.roles[block]}:".encode() + data)
+    for key, data in sorted(update.data_pages.items()):
+        digest.update(f"d{key}:".encode() + data)
+    digest.update(repr(sorted(update.fd_table.items())).encode())
+    digest.update(
+        repr((sorted(update.touched_inos), update.free_blocks, update.free_inodes, update.inflight_result)).encode()
+    )
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("level", list(PINNED_CHECKS), ids=lambda level: level.name)
+def test_replay_of_a_seeded_window_is_pinned(level):
+    operations = WorkloadGenerator(fileserver_profile(), seed=1515).ops(200, include_prepopulation=False)
+    _base, log, image_s0 = record_on_base(operations)
+    assert len(log.entries) == 179
+    shadow = ShadowFilesystem(image_s0, check_level=level)
+    engine = ReplayEngine(shadow, strict=True)
+    update = engine.run(log.entries, {}, (len(operations) + 1, op("mkdir", path="/inflight")))
+    assert engine.report.clean and engine.report.constrained_ops == 179
+    assert (len(update.metadata_blocks), len(update.data_pages)) == (12, 29)
+    assert update.inflight_result == OpResult(ino=10)
+    # Same hand-off at every level: the checks observe, they do not steer.
+    assert update_digest(update) == PINNED_UPDATE_DIGEST
+    assert shadow.checks.stats.by_name == PINNED_CHECKS[level]
+    assert shadow.checks.stats.checks_run == sum(PINNED_CHECKS[level].values())

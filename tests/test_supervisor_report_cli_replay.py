@@ -1,10 +1,11 @@
 """Tests for the supervisor report and the CLI replay command."""
 
 import io
+import re
 
 from repro.api import OpenFlags
 from repro.basefs.hooks import HookPoints
-from repro.core.supervisor import RAEConfig, RAEFilesystem
+from repro.core.supervisor import RAEConfig, RAEEvent, RAEFilesystem
 from repro.errors import KernelBug
 from repro.tools import main as tools_main
 from tests.conftest import formatted_device
@@ -23,6 +24,29 @@ def test_supervisor_report_mentions_recoveries(hooks):
     assert "1 recoveries" in text or "recoveries" in text
     assert "report test bug" in text
     assert "detections by kind: bug=1" in text
+
+
+def test_supervisor_report_prices_each_recovery_per_replayed_op(hooks):
+    def bug(point, ctx):
+        if "boom" in str(ctx.get("name", "")):
+            raise KernelBug("priced bug")
+
+    hooks.register("dir.insert", bug)
+    fs = RAEFilesystem(formatted_device(), RAEConfig(), hooks=hooks)
+    for name in ("a", "b", "c"):
+        fs.mkdir(f"/{name}")
+    fs.mkdir("/boom")
+    (event,) = fs.stats.events
+    assert event.replayed_ops == 4  # the window and the in-flight mkdir
+    # A recovery with nothing to replay (an error met outside any op,
+    # empty window) has no unit price to show.
+    fs.stats.events.append(RAEEvent(seq=None, detected="priced bug, idle", replayed_ops=0,
+                                    total_seconds=0.0021, discrepancies=0))
+    priced, idle = [line for line in fs.report().splitlines() if "priced bug" in line]
+    shown = re.search(r"replayed 4 ops in (\d+\.\d) ms \((\d+) µs/op\)$", priced)
+    assert shown, priced
+    assert int(shown.group(2)) == round(event.total_seconds * 1e6 / 4)
+    assert idle.endswith("replayed 0 ops in 2.1 ms")
 
 
 def test_supervisor_report_clean_run():
