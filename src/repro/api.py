@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import Errno, FsError
 from repro.ondisk.directory import MAX_NAME_LEN
@@ -269,24 +269,50 @@ class OpResult:
         return self.errno == other.errno and self.value == other.value and self.ino == other.ino
 
 
+#: name -> how to call it on a :class:`FilesystemAPI`, given the op's
+#: argument dict and the logical timestamp.  Keyed exactly like
+#: :data:`OP_SIGNATURES`; optional arguments default here as they do in
+#: the method signatures.
+OP_DISPATCH: dict[str, Callable[[FilesystemAPI, dict[str, Any], int], Any]] = {
+    "mkdir": lambda fs, a, opseq: fs.mkdir(a["path"], a.get("perms", 0o755), opseq=opseq),
+    "rmdir": lambda fs, a, opseq: fs.rmdir(a["path"], opseq=opseq),
+    "unlink": lambda fs, a, opseq: fs.unlink(a["path"], opseq=opseq),
+    "rename": lambda fs, a, opseq: fs.rename(a["src"], a["dst"], opseq=opseq),
+    "link": lambda fs, a, opseq: fs.link(a["existing"], a["new"], opseq=opseq),
+    "symlink": lambda fs, a, opseq: fs.symlink(a["target"], a["path"], opseq=opseq),
+    "readlink": lambda fs, a, opseq: fs.readlink(a["path"]),
+    "readdir": lambda fs, a, opseq: fs.readdir(a["path"]),
+    "stat": lambda fs, a, opseq: fs.stat(a["path"]),
+    "lstat": lambda fs, a, opseq: fs.lstat(a["path"]),
+    "truncate": lambda fs, a, opseq: fs.truncate(a["path"], a["size"], opseq=opseq),
+    "open": lambda fs, a, opseq: fs.open(
+        a["path"], OpenFlags(a.get("flags", 0)), a.get("perms", 0o644), opseq=opseq
+    ),
+    "close": lambda fs, a, opseq: fs.close(a["fd"], opseq=opseq),
+    "read": lambda fs, a, opseq: fs.read(a["fd"], a["length"], opseq=opseq),
+    "write": lambda fs, a, opseq: fs.write(a["fd"], a["data"], opseq=opseq),
+    "lseek": lambda fs, a, opseq: fs.lseek(a["fd"], a["offset"], a.get("whence", 0), opseq=opseq),
+    "fsync": lambda fs, a, opseq: fs.fsync(a["fd"], opseq=opseq),
+}
+
+
 @dataclass
 class FsOp:
     """One reified filesystem operation."""
 
     name: str
     args: dict[str, Any] = field(default_factory=dict)
+    #: Whether the op log records it (from :data:`OP_SIGNATURES`).
+    is_mutation: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.name not in OP_SIGNATURES:
+        signature = OP_SIGNATURES.get(self.name)
+        if signature is None:
             raise ValueError(f"unknown operation {self.name!r}")
-        expected, _mut = OP_SIGNATURES[self.name]
+        expected, self.is_mutation = signature
         for arg in self.args:
             if arg not in expected:
                 raise ValueError(f"{self.name} does not take argument {arg!r}")
-
-    @property
-    def is_mutation(self) -> bool:
-        return OP_SIGNATURES[self.name][1]
 
     def apply(self, fs: FilesystemAPI, opseq: int = 0) -> OpResult:
         """Execute against any implementation, capturing the outcome.
@@ -295,54 +321,15 @@ class FsOp:
         that is the detector's business, not the API's.
         """
         try:
-            value = self._dispatch(fs, opseq)
+            value = OP_DISPATCH[self.name](fs, self.args, opseq)
         except FsError as err:
-            return OpResult(errno=err.errno)
+            return OpResult(err.errno)
         ino = None
         if self.name in ("mkdir", "symlink"):
             ino = fs.stat(self.args["path"]).ino if self.name == "mkdir" else fs.lstat(self.args["path"]).ino
         elif self.name == "open":
             ino = fs.fstat_ino(value)
-        return OpResult(value=value, ino=ino)
-
-    def _dispatch(self, fs: FilesystemAPI, opseq: int) -> Any:
-        a = self.args
-        name = self.name
-        if name == "mkdir":
-            return fs.mkdir(a["path"], a.get("perms", 0o755), opseq=opseq)
-        if name == "rmdir":
-            return fs.rmdir(a["path"], opseq=opseq)
-        if name == "unlink":
-            return fs.unlink(a["path"], opseq=opseq)
-        if name == "rename":
-            return fs.rename(a["src"], a["dst"], opseq=opseq)
-        if name == "link":
-            return fs.link(a["existing"], a["new"], opseq=opseq)
-        if name == "symlink":
-            return fs.symlink(a["target"], a["path"], opseq=opseq)
-        if name == "readlink":
-            return fs.readlink(a["path"])
-        if name == "readdir":
-            return fs.readdir(a["path"])
-        if name == "stat":
-            return fs.stat(a["path"])
-        if name == "lstat":
-            return fs.lstat(a["path"])
-        if name == "truncate":
-            return fs.truncate(a["path"], a["size"], opseq=opseq)
-        if name == "open":
-            return fs.open(a["path"], OpenFlags(a.get("flags", 0)), a.get("perms", 0o644), opseq=opseq)
-        if name == "close":
-            return fs.close(a["fd"], opseq=opseq)
-        if name == "read":
-            return fs.read(a["fd"], a["length"], opseq=opseq)
-        if name == "write":
-            return fs.write(a["fd"], a["data"], opseq=opseq)
-        if name == "lseek":
-            return fs.lseek(a["fd"], a["offset"], a.get("whence", 0), opseq=opseq)
-        if name == "fsync":
-            return fs.fsync(a["fd"], opseq=opseq)
-        raise AssertionError(f"unhandled op {name}")
+        return OpResult(None, value, ino)
 
     def describe(self) -> str:
         """Compact human-readable form for logs and reports."""

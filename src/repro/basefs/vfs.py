@@ -13,6 +13,7 @@ application principal, which is all the paper's recovery story needs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 from repro.api import OpenFlags
 from repro.errors import Errno, FsError
@@ -79,8 +80,14 @@ class FdTable:
     def fds_for_ino(self, ino: int) -> list[int]:
         return sorted(fd for fd, st in self._open.items() if st.ino == ino)
 
+    def states(self) -> Mapping[int, FdState]:
+        """The open descriptors themselves, for a reader that copies
+        whatever it keeps (``OpLog.truncate``); everyone else wants
+        :meth:`snapshot`."""
+        return self._open
+
     def snapshot(self) -> dict[int, FdState]:
-        """Deep-copied view — the op log's durable fd registry."""
+        """Deep-copied view of the open descriptors."""
         return {fd: st.snapshot() for fd, st in self._open.items()}
 
     def clear(self) -> None:

@@ -30,12 +30,13 @@ cross-check material.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from repro.api import FsOp, OpResult
 from repro.basefs.vfs import FdState
 
 
-@dataclass
+@dataclass(slots=True)
 class OpRecord:
     """One completed operation and its application-visible outcome."""
 
@@ -60,13 +61,13 @@ _FD_SLOT_BYTES = 64
 _RECORD_BASE_BYTES = 96
 
 
-def _record_bytes(record: OpRecord) -> int:
+def _record_bytes(op: FsOp, outcome: OpResult) -> int:
     """Approximate footprint of one record (payloads + fixed overhead)."""
     total = _RECORD_BASE_BYTES
-    for value in record.op.args.values():
+    for value in op.args.values():
         if isinstance(value, (bytes, bytearray, str)):
             total += len(value)
-    value = record.outcome.value
+    value = outcome.value
     if isinstance(value, (bytes, bytearray, str)):
         total += len(value)
     elif isinstance(value, list):
@@ -82,19 +83,28 @@ class OpLog:
     _entry_bytes: int = 0
 
     def record(self, seq: int, op: FsOp, outcome: OpResult) -> OpRecord:
-        record = OpRecord(seq=seq, op=op, outcome=outcome)
-        self.entries.append(record)
-        self._entry_bytes += _record_bytes(record)
-        self.stats.recorded += 1
-        self.stats.max_entries = max(self.stats.max_entries, len(self.entries))
-        self.stats.max_bytes = max(self.stats.max_bytes, self.approximate_bytes())
+        record = OpRecord(seq, op, outcome)
+        entries = self.entries
+        entries.append(record)
+        self._entry_bytes += _record_bytes(op, outcome)
+        stats = self.stats
+        stats.recorded += 1
+        if len(entries) > stats.max_entries:
+            stats.max_entries = len(entries)
+        window_bytes = _FD_SLOT_BYTES * len(self.fd_snapshot) + self._entry_bytes
+        if window_bytes > stats.max_bytes:
+            stats.max_bytes = window_bytes
         return record
 
-    def truncate(self, fd_snapshot: dict[int, FdState]) -> None:
-        """Durability point reached: drop entries, refresh the registry."""
+    def truncate(self, open_fds: Mapping[int, FdState]) -> None:
+        """Durability point reached: drop entries, refresh the registry.
+
+        ``open_fds`` may be the live descriptor table: the copy that
+        isolates the registry from later offset changes is made here,
+        and only here."""
         self.entries.clear()
         self._entry_bytes = 0
-        self.fd_snapshot = {fd: st.snapshot() for fd, st in fd_snapshot.items()}
+        self.fd_snapshot = {fd: st.snapshot() for fd, st in open_fds.items()}
         self.stats.truncations += 1
 
     def __len__(self) -> int:
@@ -115,8 +125,9 @@ class OpLog:
         """Rough memory footprint, for the op-log ablation benchmark.
 
         O(1): a running byte counter is maintained on ``record`` and
-        reset on ``truncate`` — ``record`` calls this per append, so a
-        full rescan here would make the commit window O(n²).
+        reset on ``truncate`` — ``record`` needs this sum per append for
+        its high-water mark, so a full rescan would make the commit
+        window O(n²).
         """
         return _FD_SLOT_BYTES * len(self.fd_snapshot) + self._entry_bytes
 
@@ -125,5 +136,5 @@ class OpLog:
         as the oracle for the O(1) counter's regression test."""
         total = _FD_SLOT_BYTES * len(self.fd_snapshot)
         for record in self.entries:
-            total += _record_bytes(record)
+            total += _record_bytes(record.op, record.outcome)
         return total

@@ -132,6 +132,9 @@ class RAEFilesystem(FilesystemAPI):
         # Hot-path guard: a single attribute test keeps the disabled
         # configuration within the <5% overhead budget.
         self._obs_on = self.obs.enabled
+        # op name -> (latency histogram, counter), bound at the name's
+        # first op so the hot path neither formats nor looks up names.
+        self._op_instruments: dict[str, tuple] = {}
         # Flight recorder + forensic bundle store: the recorder's ring
         # append is the only always-on per-op cost; stat deltas are
         # sampled at baseline/freeze time, never per op.
@@ -168,7 +171,7 @@ class RAEFilesystem(FilesystemAPI):
 
     def _on_commit(self, _epoch: int) -> None:
         """Durability point: discard the replayable window (§3.2)."""
-        self.oplog.truncate(self.base.fd_table.snapshot())
+        self.oplog.truncate(self.base.fd_table.states())
         self._window_generation = self.base.sb.write_generation
 
     def _flight_stat_sample(self) -> dict:
@@ -280,14 +283,14 @@ class RAEFilesystem(FilesystemAPI):
         """Execute one operation with recording, detection, recovery."""
         if self._in_recovery:
             raise RecoveryFailure("operation submitted during recovery", phase="admission")
-        op = FsOp(name=name, args=args)
-        self.seq += 1
-        seq = self.seq
+        op = FsOp(name, args)
+        self.seq = seq = self.seq + 1
         self.stats.ops += 1
         obs_on = self._obs_on
-        start = self.obs.clock() if obs_on else 0.0
+        clock = self.obs.clock
+        start = clock() if obs_on else 0.0
         try:
-            outcome = op.apply(self.base, opseq=seq)
+            outcome = op.apply(self.base, seq)
         except Exception as exc:  # raelint: disable=ERRNO-DISCIPLINE — detector boundary: must see UNEXPECTED faults (§2.1)
             detected = self.detector.classify(exc, seq=seq, op_name=name)
             if not self.detector.should_recover(detected):
@@ -313,18 +316,21 @@ class RAEFilesystem(FilesystemAPI):
             if op.is_mutation:
                 self.oplog.record(seq, op, outcome)
 
+        # One clock read closes the op for both consumers: the latency
+        # histogram and the flight entry's timestamp.
+        errno = outcome.errno
         if obs_on:
-            self.obs.histogram(f"op.latency.{name}").observe(self.obs.clock() - start)
-            self.obs.counter(f"op.count.{name}").inc()
-            if outcome.errno is not None:
-                self.obs.counter(f"op.errno.{outcome.errno.name}").inc()
-        # After the latency observation: the recorder shares the obs
-        # clock, and its read must not land inside the measured window.
+            end = clock()
+            try:
+                latency, count = self._op_instruments[name]
+            except KeyError:
+                latency, count = self._bind_instruments(name)
+            latency.observe(end - start)
+            count.inc()
+            if errno is not None:
+                self.obs.counter(f"op.errno.{errno.name}").inc()
         if self._flight_on:
-            self.flight.note_op(
-                seq, name, op.describe(),
-                outcome.errno.name if outcome.errno else None,
-            )
+            self.flight.note_op(seq, op, errno, end if obs_on else clock())
 
         if self.config.auto_writeback and not self._in_recovery:
             try:
@@ -334,9 +340,18 @@ class RAEFilesystem(FilesystemAPI):
                 if self.detector.should_recover(detected):
                     self._recover(detected, inflight=None)
 
-        if outcome.errno is not None:
-            raise FsError(outcome.errno, f"{name} failed")
+        if errno is not None:
+            raise FsError(errno, f"{name} failed")
         return outcome.value
+
+    def _bind_instruments(self, name: str) -> tuple:
+        """Look up ``name``'s latency histogram and counter once; every
+        later op of that name reuses the pair."""
+        bound = self._op_instruments[name] = (
+            self.obs.histogram(f"op.latency.{name}"),
+            self.obs.counter(f"op.count.{name}"),
+        )
+        return bound
 
     def _scrub_commit(self, seq: int) -> None:
         """Persist base state right after an ignored WARN.
@@ -456,7 +471,7 @@ class RAEFilesystem(FilesystemAPI):
                 # have — otherwise the stale entries replay (and
                 # double-apply) at the next recovery.  The in-flight
                 # result recorded below lands in the fresh window.
-                self.oplog.truncate(self.base.fd_table.snapshot())
+                self.oplog.truncate(self.base.fd_table.states())
                 self._window_generation = self.base.sb.write_generation
             # The failed base is gone; subsequent flight stat deltas are
             # relative to the rebooted base's counters.

@@ -7,22 +7,26 @@ on a replayable record of the events leading up to a failure; this
 module is that record for RAE.
 
 A :class:`FlightRecorder` keeps a small ring of the most recent
-operations (name, brief args, errno) plus marks (detector
-classifications), and a baseline sample of cheap subsystem tallies
-(journal commits, cache hits, device IO...).  At detection time — in
-the supervisor, *before* :func:`repro.core.reboot.contained_reboot`
-runs — the ring is **frozen**: copied into an immutable
-:class:`FrozenFlight` together with the stat deltas since the last
-baseline.  The frozen copy goes into the forensic bundle; the live ring
-keeps recording.
+operations and a baseline sample of cheap subsystem tallies (journal
+commits, cache hits, device IO...).  At detection time — in the
+supervisor, *before* :func:`repro.core.reboot.contained_reboot` runs —
+the ring is **frozen**: rendered into an immutable
+:class:`FrozenFlight` (name, brief args, errno per op; the detector's
+classification is the freeze ``reason``) together with the stat deltas
+since the last baseline.  The frozen copy goes into the forensic bundle;
+the live ring keeps recording.
 
-Cost model: one bounded-size entry append per operation (the detail
-string is truncated at :data:`DETAIL_LIMIT`, so write payloads are never
-pinned), no clocks beyond the injected one, and no per-op stat
-sampling — stats are sampled only at baseline/freeze time.  The
-recorder is on by default (``RAEConfig(flight=False)`` disables it) and
-its steady-state overhead must stay inside the obs-ablation benchmark's
-noise band.
+Cost model: one tuple append per operation.  Only a frozen ring is ever
+read, so the ring holds the operation itself and :meth:`freeze` renders
+the :data:`DETAIL_LIMIT`-bounded detail strings, at most ``size`` of
+them per recovery.  An operation is held only while every argument is
+an ``int`` or a string no longer than :data:`DETAIL_LIMIT`; anything
+else — a ``write`` payload above all — is rendered on the spot, so the
+ring's footprint never grows with operation size.  No clock is read per
+op (the caller passes the timestamp it already took) and no stats are
+sampled per op — only at baseline/freeze time.  The recorder is on by
+default (``RAEConfig(flight=False)`` disables it) and its steady-state
+overhead must stay inside the obs-ablation benchmark's noise band.
 
 Never imported by the replay closure (SHADOW-PURITY).
 """
@@ -51,31 +55,31 @@ def _truncate(detail: str) -> str:
     return detail[: DETAIL_LIMIT - 3] + "..."
 
 
+def _render(seq: int, name: str, what, errno, ts: float) -> FlightEntry:
+    """One ring tuple (see :meth:`FlightRecorder.note_op`) as an entry."""
+    detail = what if isinstance(what, str) else _truncate(what.describe())
+    return FlightEntry(seq, name, detail, errno.name if errno else None, ts)
+
+
 @dataclass
 class FlightEntry:
-    """One ring slot: an operation or a mark (detection, note)."""
+    """One operation of a frozen ring, rendered."""
 
-    seq: int | None  # correlation id (op-log sequence number), if any
-    kind: str  # "op" | "mark"
-    name: str  # op name, or mark kind
-    detail: str  # brief args / description, bounded
+    seq: int  # correlation id (op-log sequence number)
+    name: str
+    detail: str  # brief args, bounded
     errno: str | None
     ts: float
 
     def as_dict(self) -> dict:
         return {
             "seq": self.seq,
-            "kind": self.kind,
+            "kind": "op",  # bundle schema: the only kind there is
             "name": self.name,
             "detail": self.detail,
             "errno": self.errno,
             "ts": self.ts,
         }
-
-    def describe(self) -> str:
-        where = f"#{self.seq} " if self.seq is not None else ""
-        status = f" -> {self.errno}" if self.errno else (" -> ok" if self.kind == "op" else "")
-        return f"{where}{self.kind:4s} {self.detail or self.name}{status}"
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,8 @@ class FlightRecorder:
         self.clock: Clock = clock
         self.enabled = enabled
         self.size = size
-        self.entries: deque[FlightEntry] = deque(maxlen=size)
+        # (seq, name, FsOp | rendered detail, Errno | None, ts)
+        self.entries: deque[tuple] = deque(maxlen=size)
         self.stats_source = stats_source
         self.ops_seen = 0
         self.freezes = 0
@@ -130,28 +135,24 @@ class FlightRecorder:
 
     # -- recording -----------------------------------------------------
 
-    def note_op(self, seq: int, name: str, detail: str, errno: str | None = None) -> None:
-        """Append one completed operation (O(1), detail truncated)."""
+    def note_op(self, seq: int, op, errno, ts: float) -> None:
+        """Append one completed operation (O(1), nothing rendered).
+
+        ``op`` is the :class:`~repro.api.FsOp`, ``errno`` its outcome's
+        :class:`~repro.errors.Errno` or ``None``, ``ts`` a reading of
+        this recorder's clock taken after the op finished."""
         if not self.enabled:
             return
         self.ops_seen += 1
-        self.entries.append(
-            FlightEntry(
-                seq=seq, kind="op", name=name, detail=_truncate(detail),
-                errno=errno, ts=self.clock(),
-            )
-        )
-
-    def mark(self, name: str, seq: int | None = None, detail: str = "") -> None:
-        """Append a non-op mark (detector classification, milestone)."""
-        if not self.enabled:
-            return
-        self.entries.append(
-            FlightEntry(
-                seq=seq, kind="mark", name=name, detail=_truncate(detail or name),
-                errno=None, ts=self.clock(),
-            )
-        )
+        what = op
+        for value in op.args.values():
+            kind = type(value)
+            if kind is not int and not (
+                (kind is str or kind is bytes) and len(value) <= DETAIL_LIMIT
+            ):
+                what = _truncate(op.describe())
+                break
+        self.entries.append((seq, op.name, what, errno, ts))
 
     # -- baseline and freeze -------------------------------------------
 
@@ -183,7 +184,7 @@ class FlightRecorder:
             reason=_truncate(reason),
             trigger_seq=trigger_seq,
             frozen_at=self.clock(),
-            entries=tuple(self.entries),
+            entries=tuple(_render(*entry) for entry in self.entries),
             stat_deltas=deltas,
             ops_seen=self.ops_seen,
         )

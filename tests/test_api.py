@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import (
     FsOp,
+    OP_DISPATCH,
     OP_SIGNATURES,
     OpResult,
     OpenFlags,
@@ -93,6 +94,113 @@ class TestFsOp:
     def test_describe_hides_payload_bytes(self):
         text = op("write", fd=3, data=b"x" * 1000).describe()
         assert "<1000B>" in text and "xxx" not in text
+
+
+def _reference_dispatch(operation: FsOp, fs, opseq: int):
+    """The 17-arm ``if`` chain ``OP_DISPATCH`` replaced, kept verbatim as
+    the table's reference."""
+    a = operation.args
+    name = operation.name
+    if name == "mkdir":
+        return fs.mkdir(a["path"], a.get("perms", 0o755), opseq=opseq)
+    if name == "rmdir":
+        return fs.rmdir(a["path"], opseq=opseq)
+    if name == "unlink":
+        return fs.unlink(a["path"], opseq=opseq)
+    if name == "rename":
+        return fs.rename(a["src"], a["dst"], opseq=opseq)
+    if name == "link":
+        return fs.link(a["existing"], a["new"], opseq=opseq)
+    if name == "symlink":
+        return fs.symlink(a["target"], a["path"], opseq=opseq)
+    if name == "readlink":
+        return fs.readlink(a["path"])
+    if name == "readdir":
+        return fs.readdir(a["path"])
+    if name == "stat":
+        return fs.stat(a["path"])
+    if name == "lstat":
+        return fs.lstat(a["path"])
+    if name == "truncate":
+        return fs.truncate(a["path"], a["size"], opseq=opseq)
+    if name == "open":
+        return fs.open(a["path"], OpenFlags(a.get("flags", 0)), a.get("perms", 0o644), opseq=opseq)
+    if name == "close":
+        return fs.close(a["fd"], opseq=opseq)
+    if name == "read":
+        return fs.read(a["fd"], a["length"], opseq=opseq)
+    if name == "write":
+        return fs.write(a["fd"], a["data"], opseq=opseq)
+    if name == "lseek":
+        return fs.lseek(a["fd"], a["offset"], a.get("whence", 0), opseq=opseq)
+    if name == "fsync":
+        return fs.fsync(a["fd"], opseq=opseq)
+    raise AssertionError(f"unhandled op {name}")
+
+
+class _RecordingFs:
+    """Answers any API call by recording exactly how it was made."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, method):
+        def record(*args, **kwargs):
+            self.calls.append((method, args, kwargs))
+            return (method, len(self.calls))
+
+        return record
+
+
+#: Every argument given, then only the required ones.
+_SAMPLE_ARGS = {
+    "mkdir": [{"path": "/a", "perms": 0o700}, {"path": "/a"}],
+    "rmdir": [{"path": "/a"}],
+    "unlink": [{"path": "/a"}],
+    "rename": [{"src": "/a", "dst": "/b"}],
+    "link": [{"existing": "/a", "new": "/b"}],
+    "symlink": [{"target": "t", "path": "/l"}],
+    "readlink": [{"path": "/l"}],
+    "readdir": [{"path": "/"}],
+    "stat": [{"path": "/a"}],
+    "lstat": [{"path": "/a"}],
+    "truncate": [{"path": "/a", "size": 7}],
+    "open": [{"path": "/a", "flags": int(OpenFlags.CREAT | OpenFlags.EXCL), "perms": 0o600}, {"path": "/a"}],
+    "close": [{"fd": 3}],
+    "read": [{"fd": 3, "length": 9}],
+    "write": [{"fd": 3, "data": b"payload"}],
+    "lseek": [{"fd": 3, "offset": 4, "whence": 2}, {"fd": 3, "offset": 4}],
+    "fsync": [{"fd": 3}],
+}
+
+
+class TestDispatchTable:
+    def test_table_and_signatures_name_the_same_ops(self):
+        assert set(OP_DISPATCH) == set(OP_SIGNATURES) == set(_SAMPLE_ARGS)
+
+    @pytest.mark.parametrize("name", sorted(OP_SIGNATURES))
+    def test_table_calls_exactly_as_the_if_chain_did(self, name):
+        for args in _SAMPLE_ARGS[name]:
+            operation = FsOp(name, args)
+            table_fs, chain_fs = _RecordingFs(), _RecordingFs()
+            via_table = OP_DISPATCH[name](table_fs, operation.args, 41)
+            via_chain = _reference_dispatch(operation, chain_fs, 41)
+            assert table_fs.calls == chain_fs.calls
+            assert len(table_fs.calls) == 1 and table_fs.calls[0][0] == name
+            assert via_table == via_chain  # the method's return value, untouched
+
+    def test_open_flags_arrive_as_openflags(self):
+        fs = _RecordingFs()
+        op("open", path="/a", flags=3).apply(fs, opseq=1)
+        flags = fs.calls[0][1][1]
+        assert isinstance(flags, OpenFlags) and flags == OpenFlags.CREAT | OpenFlags.EXCL
+
+    def test_mutation_flag_is_the_signature_entry(self):
+        for name, (_args, is_mutation) in OP_SIGNATURES.items():
+            assert FsOp(name).is_mutation is is_mutation
+        # Resolved once, and not part of an op's identity or its repr.
+        assert op("stat", path="/a") == FsOp("stat", {"path": "/a"})
+        assert "is_mutation" not in repr(op("stat", path="/a"))
 
 
 class TestOpResult:

@@ -1,11 +1,13 @@
 """Tests for repro.core.oplog and repro.core.detector."""
 
+import random
+
 import pytest
 
 from repro.api import OpResult, OpenFlags, op
 from repro.basefs.vfs import FdState
 from repro.core.detector import Detector, ErrorKind, WarnPolicy
-from repro.core.oplog import OpLog
+from repro.core.oplog import OpLog, OpLogStats
 from repro.errors import (
     DeviceError,
     Errno,
@@ -144,6 +146,62 @@ class TestOpLogByteCounter:
         # 5000 records x (96 overhead + 1000 payload) — the counter must
         # scale linearly with what was recorded, nothing more.
         assert approx == 5000 * (96 + 1000)
+
+
+class TestRecordStatisticsReference:
+    """``record`` used to keep its high-water marks with two ``max()``
+    calls over ``len(entries)`` and ``approximate_bytes()``; the compares
+    that replaced them must give the same statistics on any window."""
+
+    @staticmethod
+    def _reference_record(log: OpLog, reference: OpLogStats) -> None:
+        """The old bookkeeping, applied after each real ``record``."""
+        reference.recorded += 1
+        reference.max_entries = max(reference.max_entries, len(log.entries))
+        reference.max_bytes = max(reference.max_bytes, log.recount_bytes())
+
+    @pytest.mark.parametrize("seed", [1, 16, 23])
+    def test_seeded_windows(self, seed):
+        rng = random.Random(seed)
+        log, reference = OpLog(), OpLogStats()
+        for seq in range(1, 1201):
+            r = rng.random()
+            if r < 0.02:
+                open_fds = {
+                    fd: FdState(fd=fd, ino=fd + 10, flags=OpenFlags.NONE, offset=rng.randrange(99))
+                    for fd in range(3, 3 + rng.randrange(6))
+                }
+                log.truncate(open_fds)
+                reference.truncations += 1
+                assert log.fd_snapshot == open_fds
+            elif r < 0.35:
+                size = rng.choice([0, 7, 512, 16384])
+                log.record(seq, op("write", fd=3, data=b"w" * size), OpResult(value=size))
+                self._reference_record(log, reference)
+            elif r < 0.55:
+                size = rng.randrange(4096)
+                log.record(seq, op("read", fd=3, length=size), OpResult(value=bytearray(size)))
+                self._reference_record(log, reference)
+            elif r < 0.75:
+                log.record(seq, op("rename", src="/a" * rng.randrange(1, 40), dst="/b"), OpResult())
+                self._reference_record(log, reference)
+            elif r < 0.9:
+                log.record(seq, op("symlink", target="t" * rng.randrange(200), path="/l"), OpResult(ino=seq))
+                self._reference_record(log, reference)
+            else:
+                log.record(seq, op("unlink", path="/gone"), OpResult(errno=Errno.ENOENT))
+                self._reference_record(log, reference)
+            assert log.stats == reference
+            assert log.approximate_bytes() == log.recount_bytes()
+        assert reference.truncations > 5 and reference.max_entries > 50
+
+    def test_record_is_a_lean_positional_triple(self):
+        log = OpLog()
+        operation, outcome = op("mkdir", path="/a"), OpResult(ino=12)
+        record = log.record(4, operation, outcome)
+        assert (record.seq, record.op, record.outcome) == (4, operation, outcome)
+        assert record.op is operation and record.outcome is outcome
+        assert not hasattr(record, "__dict__")  # slots: nothing per record but the three fields
 
 
 class TestDetectorHistoryRing:

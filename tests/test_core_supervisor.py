@@ -46,6 +46,21 @@ class TestCommonPath:
         assert 3 in rae.oplog.fd_snapshot
         rae.close(fd)
 
+    def test_fd_registry_is_isolated_from_live_descriptors(self, rae):
+        """The commit hands the op log the live descriptor table; the log
+        makes the one copy, so later offset changes cannot reach it."""
+        fd = rae.open("/f", OpenFlags.CREAT)
+        rae.write(fd, b"0123456789")
+        rae.fsync(fd)
+        registered = rae.oplog.fd_snapshot[fd]
+        assert registered.offset == 10
+        assert registered is not rae.base.fd_table.get(fd)
+        rae.lseek(fd, 3, 0)
+        rae.base.fd_table.get(fd).offset = 77  # even behind the API's back
+        assert rae.oplog.fd_snapshot[fd].offset == 10
+        rae.close(fd)
+        assert fd in rae.oplog.fd_snapshot  # until the next durability point
+
     def test_non_mutations_not_recorded(self, rae):
         rae.mkdir("/a")
         before = len(rae.oplog)

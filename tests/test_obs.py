@@ -259,10 +259,79 @@ class TestSupervisorObs:
         rae = RAEFilesystem(
             device, RAEConfig(profile=False), hooks=hooks, obs=Registry(clock=clock)
         )
+        reads_before = clock.now / clock.step
         rae.mkdir("/a")
         hist = rae.obs.snapshot()["histograms"]["op.latency.mkdir"]
         assert hist["count"] == 1
         assert hist["sum"] == pytest.approx(0.5)  # exactly one clock step
+        # One clock pair per supervised op: the end reading is also the
+        # flight entry's timestamp.
+        assert clock.now / clock.step - reads_before == 2
+        rae.stat("/a")
+        assert clock.now / clock.step - reads_before == 4
+        assert [entry.ts for entry in rae.flight.freeze("probe").entries] == [1.0, 2.0]
+
+    def test_flight_alone_reads_the_clock_once_per_op(self, device, hooks):
+        clock = FakeClock()
+        rae = RAEFilesystem(
+            device, RAEConfig(profile=False), hooks=hooks, obs=Registry(enabled=False, clock=clock)
+        )
+        rae.mkdir("/a")
+        rae.stat("/a")
+        assert clock.now == 2.0
+        quiet = RAEFilesystem(
+            formatted_device(), RAEConfig(profile=False, flight=False),
+            obs=Registry(enabled=False, clock=clock),
+        )
+        quiet.mkdir("/a")
+        assert clock.now == 2.0  # metrics off, flight off: no clock at all
+
+    def test_instruments_belong_to_their_supervisor(self, device, hooks):
+        """Per-name instruments are bound per supervisor, in its own
+        registry: two supervisors never share a count, and one without
+        metrics never creates an instrument."""
+        first = RAEFilesystem(device, RAEConfig(), hooks=hooks)
+        second = RAEFilesystem(formatted_device(), RAEConfig())
+        silent = RAEFilesystem(formatted_device(), RAEConfig(metrics=False))
+        for _ in range(3):
+            first.stat("/")
+        second.stat("/")
+        silent.stat("/")
+        assert first.obs.snapshot()["counters"]["op.count.stat"] == 3
+        assert second.obs.snapshot()["counters"]["op.count.stat"] == 1
+        assert first.obs.snapshot()["histograms"]["op.latency.stat"]["count"] == 3
+        assert "op.count.mkdir" not in first.obs.snapshot()["counters"]  # bound on first use only
+        snap = silent.obs.snapshot()
+        assert snap["counters"] == {} and snap["histograms"] == {}
+        assert silent._op_instruments == {}
+
+    def test_bound_instruments_survive_a_contained_reboot(self, device, hooks):
+        crash_on_name(hooks, "evil")
+        rae = RAEFilesystem(device, RAEConfig(), hooks=hooks)
+        rae.mkdir("/before")
+        rae.mkdir("/evil-dir")  # recovery swaps the base under the bound pair
+        assert rae.recovery_count == 1
+        rae.mkdir("/after")
+        snap = rae.obs.snapshot()
+        assert snap["counters"]["op.count.mkdir"] == 3
+        assert snap["histograms"]["op.latency.mkdir"]["count"] == 3
+        assert rae.obs.counter("op.count.mkdir") is rae._op_instruments["mkdir"][1]
+
+    def test_errno_counters_appear_per_errno(self, device, hooks):
+        rae = RAEFilesystem(device, RAEConfig(), hooks=hooks)
+        rae.mkdir("/a")
+        for _ in range(2):
+            with pytest.raises(FsError):
+                rae.rmdir("/missing")
+        with pytest.raises(FsError):
+            rae.mkdir("/a")
+        with pytest.raises(FsError):
+            rae.close(99)
+        counters = rae.obs.snapshot()["counters"]
+        assert {name: n for name, n in counters.items() if name.startswith("op.errno.")} == {
+            "op.errno.ENOENT": 2, "op.errno.EEXIST": 1, "op.errno.EBADF": 1,
+        }
+        assert counters["op.count.rmdir"] == 2 and counters["op.count.mkdir"] == 2
 
     def test_differential_metrics_on_off_same_filesystem_state(self):
         """Instrumentation must be observationally free: identical op

@@ -3,16 +3,19 @@ repro.obs.events, repro.obs.flight, repro.obs.forensics, and their
 supervisor wiring (correlation ids, freeze-at-detection, cross-check
 divergence capture)."""
 
+import hashlib
 import json
 import os
+import random
+from collections import deque
 from pathlib import Path
 
 import pytest
 
-from repro.api import OpenFlags
+from repro.api import OpenFlags, op
 from repro.basefs.hooks import HookPoints
 from repro.core.supervisor import RAEConfig, RAEFilesystem
-from repro.errors import RecoveryFailure
+from repro.errors import Errno, RecoveryFailure
 from repro.faults.catalog import make_dir_insert_crash_bug
 from repro.faults.injector import Injector
 from repro.obs import (
@@ -28,7 +31,7 @@ from repro.obs import (
     write_bundle,
 )
 from repro.obs.flight import DETAIL_LIMIT
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, Registry
 from tests.conftest import formatted_device
 from tests.test_core_supervisor import crash_on_name
 from tests.test_obs import FakeClock
@@ -83,23 +86,49 @@ class TestEventLog:
 # Flight recorder
 
 
+def _truncated(detail: str) -> str:
+    """The detail bound, spelled out independently of flight.py."""
+    return detail if len(detail) <= DETAIL_LIMIT else detail[: DETAIL_LIMIT - 3] + "..."
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through containers and
+    instance attributes (what the ring pins in memory)."""
+    seen, stack = set(), [root]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        yield value
+        if isinstance(value, dict):
+            stack.extend(value.keys())
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple, set, frozenset, deque)):
+            stack.extend(value)
+        elif hasattr(value, "__dict__"):
+            stack.append(vars(value))
+
+
 class TestFlightRecorder:
     def test_ring_is_bounded_and_details_truncated(self):
-        rec = FlightRecorder(clock=FakeClock(), size=3)
+        clock = FakeClock()
+        rec = FlightRecorder(clock=clock, size=3)
         for i in range(5):
-            rec.note_op(i, "write", "x" * 500)
+            rec.note_op(i, op("symlink", target="x" * 500, path="/l"), None, clock())
         assert len(rec) == 3
         assert rec.ops_seen == 5
-        for entry in rec.entries:
+        for entry in rec.freeze("bug").entries:
             assert len(entry.detail) == DETAIL_LIMIT
             assert entry.detail.endswith("...")
 
     def test_freeze_copies_ring_and_stat_deltas(self):
         stats = {"journal.commits": 10}
-        rec = FlightRecorder(clock=FakeClock(), stats_source=lambda: dict(stats))
+        clock = FakeClock()
+        rec = FlightRecorder(clock=clock, stats_source=lambda: dict(stats))
         rec.rebaseline()
         stats["journal.commits"] = 14
-        rec.note_op(1, "mkdir", "mkdir(path='/a')")
+        rec.note_op(1, op("mkdir", path="/a"), None, clock())
         frozen = rec.freeze("bug during op #1", trigger_seq=1)
         assert frozen.trigger_seq == 1
         assert frozen.reason == "bug during op #1"
@@ -108,7 +137,7 @@ class TestFlightRecorder:
         assert rec.freezes == 1
         assert rec.last_frozen is frozen
         # The frozen copy is immutable: later ops don't leak into it.
-        rec.note_op(2, "rmdir", "rmdir(path='/a')")
+        rec.note_op(2, op("rmdir", path="/a"), None, clock())
         assert len(frozen.entries) == 1
 
     def test_freeze_advances_baseline(self):
@@ -122,21 +151,124 @@ class TestFlightRecorder:
 
     def test_disabled_recorder_records_and_freezes_nothing(self):
         rec = FlightRecorder(clock=FakeClock(), enabled=False)
-        rec.note_op(1, "mkdir", "mkdir(path='/a')")
-        rec.mark("detect")
+        rec.note_op(1, op("mkdir", path="/a"), None, 1.0)
         assert len(rec) == 0
+        assert rec.ops_seen == 0
         assert rec.freeze("bug") is None
 
-    def test_marks_interleave_with_ops(self):
+    def test_entries_render_at_freeze_with_the_timestamp_given(self):
         rec = FlightRecorder(clock=FakeClock())
-        rec.note_op(1, "mkdir", "mkdir(path='/a')")
-        rec.mark("detect", seq=2, detail="bug during op #2")
-        kinds = [e.kind for e in rec.entries]
-        assert kinds == ["op", "mark"]
+        rec.note_op(7, op("open", path="/a", flags=1, perms=0o600), Errno.EEXIST, 12.5)
+        assert rec.freeze("bug").entries[0].as_dict() == {
+            "seq": 7, "kind": "op", "name": "open",
+            "detail": "open(path='/a', flags=1, perms=384)", "errno": "EEXIST", "ts": 12.5,
+        }
+
+    def test_ring_holds_no_large_or_foreign_argument(self):
+        """An op is kept by reference only while its arguments are ints
+        and short strings; anything else is rendered on the spot."""
+        rec = FlightRecorder(clock=FakeClock())
+        payload, target, mutable = b"p" * 4096, "t" * 4096, bytearray(b"q" * 8)
+        rec.note_op(1, op("write", fd=3, data=payload), None, 1.0)
+        rec.note_op(2, op("symlink", target=target, path="/l"), None, 2.0)
+        rec.note_op(3, op("write", fd=3, data=mutable), None, 3.0)
+        rec.note_op(4, op("write", fd=3, data=b"tiny"), None, 4.0)
+        assert not any(value is held for held in (payload, target, mutable) for value in _reachable(rec.entries))
+        details = [entry.detail for entry in rec.freeze("bug").entries]
+        assert details[0] == "write(fd=3, data=<4096B>)"
+        assert details[1] == _truncated(op("symlink", target=target, path="/l").describe())
+        assert details[3] == "write(fd=3, data=<4B>)"
 
     def test_bad_size_rejected(self):
         with pytest.raises(ValueError):
             FlightRecorder(size=0)
+
+
+# ---------------------------------------------------------------------------
+# Lazy rendering is invisible: pinned to what the eager ring produced
+
+
+def _seeded_stream(seed: int = 16, count: int = 100):
+    """A fixed op stream exercising every detail form: short and
+    over-long paths, two-path ops, quoted strings, payloads from 0 B to
+    1 MiB (``data=<NB>``), and ops that fail."""
+    rng = random.Random(seed)
+    deep = "/" + "n" * 40
+    ops = [
+        op("mkdir", path="/d"),
+        op("mkdir", path=deep, perms=0o700),
+        op("open", path="/d/f", flags=int(OpenFlags.CREAT), perms=0o600),  # fd 3
+    ]
+    while len(ops) < count:
+        r = rng.random()
+        leaf = "m" * rng.randrange(1, 60)
+        if r < 0.25:
+            ops.append(op("write", fd=3, data=b"x" * rng.choice([0, 5, 96, 97, 4096, 1 << 20])))
+        elif r < 0.45:
+            ops.append(op("stat", path=f"{deep}/{leaf}"))
+        elif r < 0.55:
+            ops.append(op("rename", src=f"{deep}/{leaf}", dst=f"{deep}/{leaf}-moved"))
+        elif r < 0.65:
+            ops.append(op("symlink", target="it's \"quoted\" " * rng.randrange(1, 12), path=f"/d/l{len(ops)}"))
+        elif r < 0.75:
+            ops.append(op("lseek", fd=3, offset=rng.randrange(1 << 16), whence=0))
+        elif r < 0.85:
+            ops.append(op("read", fd=3, length=rng.randrange(1 << 14)))
+        elif r < 0.95:
+            ops.append(op("mkdir", path=f"/d/{leaf}"))
+        else:
+            ops.append(op("readdir", path="/d"))
+    return ops
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+class TestLazyRenderingIsInvisible:
+    """The ring used to render and truncate every op's detail as the op
+    finished; it now keeps the op and renders in ``freeze()``.  Both
+    digests below were recorded by running this stream through the eager
+    ring on the parent commit (4d3d3e4)."""
+
+    FROZEN_SHA = "90c0df11b238a8c26265c4429fe41213334e0b8257f686e6dbc70c21a2ea305f"
+    BUNDLE_SHA = "ddd3788333b6e4bbc125340e41681da075fae6abb7e758fc81a7050f547b6aa0"
+
+    def test_frozen_ring_is_byte_identical(self):
+        clock = FakeClock()
+        tallies = {"journal.commits": 3}
+        rec = FlightRecorder(clock=clock, stats_source=lambda: dict(tallies))
+        rec.rebaseline()
+        rng = random.Random(5)
+        for seq, operation in enumerate(_seeded_stream(), 1):
+            errno = rng.choice([None, None, None, Errno.ENOENT, Errno.ENOSPC])
+            rec.note_op(seq, operation, errno, clock())
+        tallies["journal.commits"] = 9
+        frozen = rec.freeze("bug during op #101 (mkdir): crash on 'evil'", trigger_seq=101)
+        details = [entry.detail for entry in frozen.entries]
+        assert any(len(d) == DETAIL_LIMIT and d.endswith("...") for d in details)
+        assert any(d == "write(fd=3, data=<1048576B>)" for d in details)
+        assert _sha(frozen.as_dict()) == self.FROZEN_SHA
+
+    def test_supervisor_bundle_is_byte_identical(self):
+        """End to end: stream + trigger through a supervisor.  The
+        registry is disabled so the injected clock is read once per op
+        on either side of the change (the flight timestamp); ``phases``
+        is wall-clock time and is left out of the digest."""
+        hooks = HookPoints()
+        crash_on_name(hooks, "evil")
+        fs = RAEFilesystem(
+            formatted_device(8192), RAEConfig(profile=False), hooks=hooks,
+            obs=Registry(enabled=False, clock=FakeClock()),
+        )
+        for operation in _seeded_stream():
+            operation.apply(fs)
+        fs.mkdir("/d/evil")
+        assert fs.recovery_count == 1
+        bundle = dict(fs.last_bundle)
+        del bundle["phases"]
+        assert bundle["flight"]["ops_seen"] > len(bundle["flight"]["entries"]) == 64
+        assert _sha(bundle) == self.BUNDLE_SHA
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +468,25 @@ class TestForensicBundleEndToEnd:
         fs.mkdir("/b")
         second = fs.flight.freeze("manual")
         assert second.stat_deltas["oplog.recorded"] < 4
+
+    def test_ring_pins_no_payload_after_large_writes(self):
+        """64 x 1 MiB writes, all still in the ring; once the commit has
+        dropped the op log's references, nothing the ring holds is a
+        payload."""
+        fs = RAEFilesystem(formatted_device(8192), RAEConfig(flight_ring_size=256))
+        fd = fs.open("/big", OpenFlags.CREAT)
+        for fill in range(64):
+            fs.write(fd, bytes([fill]) * (1 << 20))
+            fs.lseek(fd, 0, 0)  # overwrite in place
+        fs.fsync(fd)
+        assert len(fs.oplog) == 1
+        big = [
+            value for value in _reachable(fs.flight.entries)
+            if isinstance(value, (bytes, bytearray)) and len(value) >= 1 << 20
+        ]
+        assert big == []
+        details = [entry.detail for entry in fs.flight.freeze("probe").entries]
+        assert details.count("write(fd=3, data=<1048576B>)") == 64
 
     def test_bundle_built_even_when_recovery_fails(self):
         config = RAEConfig(shadow_in_process=False)  # memory device → fails
