@@ -9,35 +9,10 @@ from repro.api import FilesystemAPI, FsOp
 from repro.basefs.filesystem import BaseFilesystem
 from repro.basefs.hooks import HookPoints
 from repro.basefs.writeback import WritebackPolicy
-from repro.blockdev.device import MemoryBlockDevice
 from repro.core.supervisor import RAEConfig, RAEFilesystem
-from repro.ondisk.mkfs import mkfs
+from repro.ondisk.mkfs import formatted_device as make_device  # the benchmarks' name for it
 from repro.shadowfs.checks import CheckLevel
 from repro.shadowfs.filesystem import ShadowFilesystem
-
-_TEMPLATES: dict[tuple, bytes] = {}
-
-
-def make_device(block_count: int = 8192, journal_blocks: int | None = None) -> MemoryBlockDevice:
-    """A formatted in-memory device (template-cached mkfs).
-
-    ``journal_blocks`` overrides the default journal size — benchmarks
-    that deliberately hold huge uncommitted windows need a journal large
-    enough for the eventual recovery hand-off commit.
-    """
-    from repro.ondisk.layout import DEFAULT_JOURNAL_BLOCKS
-
-    journal = journal_blocks if journal_blocks is not None else DEFAULT_JOURNAL_BLOCKS
-    device = MemoryBlockDevice(block_count=block_count)
-    key = (block_count, journal)
-    template = _TEMPLATES.get(key)
-    if template is None:
-        mkfs(device, journal_blocks=journal)
-        template = device.snapshot()
-        _TEMPLATES[key] = template
-    else:
-        device.restore(template)
-    return device
 
 
 def make_base(block_count: int = 8192, hooks: HookPoints | None = None, **kwargs) -> BaseFilesystem:

@@ -6,8 +6,8 @@ interface.  The base stacks a buffer cache and an asynchronous blk-mq layer
 on top; the shadow calls ``read_block`` directly, synchronously, which is
 exactly the simplification the paper prescribes (§3.3).
 
-Two concrete devices are provided.  :class:`MemoryBlockDevice` backs the
-image with a ``bytearray`` and is what tests and most benchmarks use.
+Two concrete devices are provided.  :class:`MemoryBlockDevice` (tests, most
+benchmarks) keeps a shared immutable base image plus the blocks written since.
 :class:`FileBlockDevice` backs the image with a file on the host
 filesystem, which lets the shadow run in a genuinely separate OS process
 (``repro.core.procrunner``) while reading the same image the base mounted.
@@ -99,20 +99,23 @@ class BlockDevice(ABC):
 
 
 class MemoryBlockDevice(BlockDevice):
-    """A ``bytearray``-backed device with optional crash simulation.
+    """A sparse copy-on-write in-memory device with optional crash simulation.
 
-    When ``track_durability`` is true the device keeps a second copy of the
-    image representing what would survive a power failure: writes land only
-    in the volatile image until ``flush`` copies them to the durable image.
-    ``crash()`` then discards the volatile image.  The journal-atomicity
-    property tests (DESIGN §5.5) are built on this.
+    The image is ``_base`` (the ``bytes`` handed to :meth:`restore`, shared
+    not copied; ``None`` is all zeros) overlaid by ``_overlay``, the blocks
+    written since.  With ``track_durability`` a second overlay, ``_durable``,
+    holds what would survive a power failure: ``flush`` publishes the blocks
+    written since the last one into it and ``crash()`` falls back to it.
+    The journal-atomicity property tests (DESIGN §5.5) are built on this.
     """
 
     def __init__(self, block_size: int = 4096, block_count: int = 4096, track_durability: bool = False):
         super().__init__(block_size, block_count)
-        self._data = bytearray(self.size_bytes)
+        self._zero_block = bytes(block_size)
+        self._base: bytes | None = None
+        self._overlay: dict[int, bytes] = {}
         self._track_durability = track_durability
-        self._durable: bytearray | None = bytearray(self.size_bytes) if track_durability else None
+        self._durable: dict[int, bytes] = {}
         self._dirty_since_flush: set[int] = set()
         self._closed = False
 
@@ -121,16 +124,21 @@ class MemoryBlockDevice(BlockDevice):
             raise DeviceError("device is closed", block=block)
         self.check_block(block)
         self.io_stats.reads += 1
+        data = self._overlay.get(block)
+        if data is not None:
+            return data
+        if self._base is None:
+            return self._zero_block
         off = block * self.block_size
-        return bytes(self._data[off : off + self.block_size])
+        return self._base[off : off + self.block_size]
 
     def write_block(self, block: int, data: bytes) -> None:
         if self._closed:
             raise DeviceError("device is closed", block=block)
         self._check_write(block, data)
         self.io_stats.writes += 1
-        off = block * self.block_size
-        self._data[off : off + self.block_size] = data
+        # bytes() of a bytes is the object itself; of a bytearray, a private copy.
+        self._overlay[block] = bytes(data)
         if self._track_durability:
             self._dirty_since_flush.add(block)
 
@@ -139,36 +147,56 @@ class MemoryBlockDevice(BlockDevice):
             raise DeviceError("device is closed")
         self.io_stats.flushes += 1
         if self._track_durability:
-            assert self._durable is not None
             for block in self._dirty_since_flush:
-                off = block * self.block_size
-                self._durable[off : off + self.block_size] = self._data[off : off + self.block_size]
+                self._durable[block] = self._overlay[block]
             self._dirty_since_flush.clear()
 
     def crash(self) -> None:
         """Simulate a power failure: discard un-flushed writes.
 
         Only meaningful with ``track_durability``; without it the call is
-        rejected because there is no durable image to fall back to.
+        rejected because there is no durable view to fall back to.
         """
+        if self._closed:
+            raise DeviceError("device is closed")
         if not self._track_durability:
             raise DeviceError("crash() requires track_durability=True")
-        assert self._durable is not None
-        self._data = bytearray(self._durable)
+        self._overlay = dict(self._durable)
         self._dirty_since_flush.clear()
 
     def snapshot(self) -> bytes:
-        """Return a copy of the current (volatile) image."""
-        return bytes(self._data)
+        """Return the current (volatile) image: the base itself when nothing
+        was written since :meth:`restore`, else one image-sized copy (the
+        new base, unless un-flushed writes keep the durable view apart).
+
+        Allowed after :meth:`close`: imaging a device that is no longer in
+        service is legitimate and read-only.
+        """
+        image = self._base if self._base is not None else bytes(self.size_bytes)
+        if self._overlay:
+            view, parts, pos = memoryview(image), [], 0
+            for block in sorted(self._overlay):
+                off = block * self.block_size
+                parts += (view[pos:off], self._overlay[block])
+                pos = off + self.block_size
+            image = b"".join(parts + [view[pos:]])
+        if not self._dirty_since_flush:
+            self._base = image
+            self._overlay.clear()
+            self._durable.clear()
+        return image
 
     def restore(self, image: bytes) -> None:
-        """Replace the image contents (both volatile and durable views)."""
+        """Replace the image contents (both volatile and durable views);
+        O(1), an immutable ``image`` is shared rather than copied."""
+        if self._closed:
+            raise DeviceError("device is closed")
         if len(image) != self.size_bytes:
             raise DeviceError(f"image is {len(image)} bytes; device holds {self.size_bytes}")
-        self._data = bytearray(image)
-        if self._track_durability:
-            self._durable = bytearray(image)
-            self._dirty_since_flush.clear()
+        self._base = bytes(image)
+        self._overlay.clear()
+        self._durable.clear()
+        self._dirty_since_flush.clear()
 
     def close(self) -> None:
         self._closed = True

@@ -9,7 +9,7 @@ unmount passes fsck" as a foundational invariant.
 
 from __future__ import annotations
 
-from repro.blockdev.device import BlockDevice
+from repro.blockdev.device import BlockDevice, MemoryBlockDevice
 from repro.ondisk.bitmap import Bitmap
 from repro.ondisk.directory import DirBlock
 from repro.ondisk.inode import FileType, OnDiskInode, make_mode
@@ -121,4 +121,25 @@ def mkfs(
     return sb
 
 
-__all__ = ["mkfs", "INODES_PER_BLOCK"]
+_TEMPLATES: dict[tuple[int, int], bytes] = {}
+
+
+def formatted_device(
+    block_count: int = 4096, journal_blocks: int | None = None, track_durability: bool = False
+) -> MemoryBlockDevice:
+    """A fresh in-memory device over a just-formatted image: ``mkfs`` runs
+    once per geometry and every such device shares its image (``restore``
+    keeps a reference).  ``journal_blocks`` overrides the default journal
+    for callers that hold huge uncommitted windows open."""
+    journal = DEFAULT_JOURNAL_BLOCKS if journal_blocks is None else journal_blocks
+    template = _TEMPLATES.get((block_count, journal))
+    if template is None:
+        scratch = MemoryBlockDevice(block_count=block_count)
+        mkfs(scratch, journal_blocks=journal)
+        template = _TEMPLATES[(block_count, journal)] = scratch.snapshot()
+    device = MemoryBlockDevice(block_count=block_count, track_durability=track_durability)
+    device.restore(template)
+    return device
+
+
+__all__ = ["mkfs", "formatted_device", "INODES_PER_BLOCK"]

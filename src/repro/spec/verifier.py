@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.api import FilesystemAPI, FsOp, OpenFlags, op
-from repro.blockdev.device import MemoryBlockDevice
 from repro.errors import FsError
-from repro.ondisk.mkfs import mkfs
+from repro.ondisk.mkfs import formatted_device
 from repro.shadowfs.checks import CheckLevel
 from repro.shadowfs.filesystem import ShadowFilesystem
 from repro.spec.equivalence import capture_state, outcomes_equivalent, states_equivalent
@@ -69,26 +68,14 @@ class VerifierResult:
         return not self.divergences
 
 
-_IMAGE_TEMPLATES: dict[int, bytes] = {}
-
-
 def fresh_shadow(block_count: int = 1024, check_level: CheckLevel = CheckLevel.FULL) -> ShadowFilesystem:
-    """A shadow over a freshly formatted in-memory image.
-
-    Formatted images are cached per geometry and restored bytewise, so
-    the exhaustive verifier does not pay mkfs once per sequence.
-    """
-    device = MemoryBlockDevice(block_count=block_count)
-    template = _IMAGE_TEMPLATES.get(block_count)
-    if template is None:
-        # Fixture construction, not verification: mkfs formats the private
-        # in-memory image *before* the shadow under test exists.  The spec
-        # oracle itself never touches a device during checking.
-        mkfs(device)  # raelint: disable=SHADOW-REACH
-        template = device.snapshot()
-        _IMAGE_TEMPLATES[block_count] = template
-    else:
-        device.restore(template)
+    """A shadow over a freshly formatted in-memory image (built once per
+    geometry and shared by reference, so the exhaustive verifier pays
+    neither mkfs nor an image copy per sequence)."""
+    # Fixture construction, not verification: mkfs formats a private
+    # in-memory image *before* the shadow under test exists.  The spec
+    # oracle itself never touches a device during checking.
+    device = formatted_device(block_count)  # raelint: disable=SHADOW-REACH
     return ShadowFilesystem(device, check_level=check_level)
 
 

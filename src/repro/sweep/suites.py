@@ -11,20 +11,17 @@ one-line-per-case result listing with a totals footer.
 from __future__ import annotations
 
 from repro.blockdev.device import MemoryBlockDevice
-from repro.ondisk.mkfs import mkfs
+from repro.ondisk.mkfs import formatted_device
 
 
 class ScratchImage:
     """Scratch-device setup/teardown, fstests SCRATCH_DEV style.
 
-    ``mkfs`` on every case would dominate sweep time; instead the first
-    ``setup()`` for a geometry formats once and snapshots the result,
-    and every later call restores the template onto a fresh in-memory
-    device.  ``teardown()`` exists for symmetry and for subclasses
+    ``mkfs`` on every case would dominate sweep time; instead ``setup()``
+    hands out a durability-tracking device over the geometry's one shared
+    formatted image.  ``teardown()`` exists for symmetry and for subclasses
     backed by real files; in-memory scratch devices are just dropped.
     """
-
-    _templates: dict[tuple[int, int], bytes] = {}
 
     def __init__(self, block_count: int = 1024, journal_blocks: int = 8):
         self.block_count = block_count
@@ -32,15 +29,7 @@ class ScratchImage:
         self.live: list[MemoryBlockDevice] = []
 
     def setup(self) -> MemoryBlockDevice:
-        key = (self.block_count, self.journal_blocks)
-        mem = MemoryBlockDevice(block_count=self.block_count, track_durability=True)
-        template = self._templates.get(key)
-        if template is None:
-            mkfs(mem, journal_blocks=self.journal_blocks)
-            mem.flush()
-            self._templates[key] = mem.snapshot()
-        else:
-            mem.restore(template)
+        mem = formatted_device(self.block_count, self.journal_blocks, track_durability=True)
         self.live.append(mem)
         return mem
 

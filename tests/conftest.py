@@ -12,25 +12,10 @@ from repro.basefs.filesystem import BaseFilesystem
 from repro.basefs.hooks import HookPoints
 from repro.blockdev.device import MemoryBlockDevice
 from repro.core.supervisor import RAEConfig, RAEFilesystem
-from repro.ondisk.mkfs import mkfs
+from repro.ondisk.mkfs import formatted_device
 from repro.shadowfs.checks import CheckLevel
 from repro.shadowfs.filesystem import ShadowFilesystem
 from repro.spec.model import SpecFilesystem
-
-_TEMPLATES: dict[tuple, bytes] = {}
-
-
-def formatted_device(block_count: int = 4096, track_durability: bool = False) -> MemoryBlockDevice:
-    device = MemoryBlockDevice(block_count=block_count, track_durability=track_durability)
-    key = (block_count,)
-    template = _TEMPLATES.get(key)
-    if template is None:
-        mkfs(device)
-        template = device.snapshot()
-        _TEMPLATES[key] = template
-    else:
-        device.restore(template)
-    return device
 
 
 @pytest.fixture

@@ -1,10 +1,12 @@
 """Tests for repro.blockdev.device."""
 
-import os
+import random
+import tracemalloc
 
 import pytest
 
 from repro.blockdev.device import (
+    BlockDevice,
     CountingDevice,
     FileBlockDevice,
     MemoryBlockDevice,
@@ -53,6 +55,24 @@ def test_memory_device_close_fences_io():
         dev.write_block(0, b"\x00" * BS)
 
 
+@pytest.mark.parametrize("mutate", [lambda dev: dev.crash(), lambda dev: dev.restore(bytes(dev.size_bytes))])
+def test_memory_device_close_fences_crash_and_restore(mutate):
+    dev = MemoryBlockDevice(block_count=4, track_durability=True)
+    dev.write_block(1, b"a" * BS)
+    dev.close()
+    with pytest.raises(DeviceError, match="closed"):
+        mutate(dev)
+    assert dev.snapshot()[BS : 2 * BS] == b"a" * BS
+
+
+def test_memory_device_snapshot_allowed_after_close():
+    dev = MemoryBlockDevice(block_count=4)
+    dev.write_block(2, b"s" * BS)
+    before = dev.snapshot()
+    dev.close()
+    assert dev.snapshot() == before
+
+
 def test_durability_crash_discards_unflushed():
     dev = MemoryBlockDevice(block_count=4, track_durability=True)
     dev.write_block(1, b"a" * BS)
@@ -83,6 +103,217 @@ def test_restore_rejects_wrong_size():
     dev = MemoryBlockDevice(block_count=4)
     with pytest.raises(DeviceError):
         dev.restore(b"tiny")
+
+
+# ----------------------------------------------------------------------
+# reference model: the flat two-image device MemoryBlockDevice replaced
+
+
+class FlatMemoryBlockDevice(BlockDevice):
+    """One ``bytearray`` per view, every image operation a whole copy."""
+
+    def __init__(self, block_size: int = 4096, block_count: int = 4096, track_durability: bool = False):
+        super().__init__(block_size, block_count)
+        self._data = bytearray(self.size_bytes)
+        self._durable = bytearray(self.size_bytes) if track_durability else None
+        self._dirty_since_flush: set[int] = set()
+
+    def read_block(self, block: int) -> bytes:
+        self.check_block(block)
+        self.io_stats.reads += 1
+        off = block * self.block_size
+        return bytes(self._data[off : off + self.block_size])
+
+    def write_block(self, block: int, data: bytes) -> None:
+        self._check_write(block, data)
+        self.io_stats.writes += 1
+        off = block * self.block_size
+        self._data[off : off + self.block_size] = data
+        if self._durable is not None:
+            self._dirty_since_flush.add(block)
+
+    def flush(self) -> None:
+        self.io_stats.flushes += 1
+        if self._durable is not None:
+            for block in self._dirty_since_flush:
+                off = block * self.block_size
+                self._durable[off : off + self.block_size] = self._data[off : off + self.block_size]
+            self._dirty_since_flush.clear()
+
+    def crash(self) -> None:
+        if self._durable is None:
+            raise DeviceError("crash() requires track_durability=True")
+        self._data = bytearray(self._durable)
+        self._dirty_since_flush.clear()
+
+    def snapshot(self) -> bytes:
+        return bytes(self._data)
+
+    def restore(self, image: bytes) -> None:
+        if len(image) != self.size_bytes:
+            raise DeviceError(f"image is {len(image)} bytes; device holds {self.size_bytes}")
+        self._data = bytearray(image)
+        if self._durable is not None:
+            self._durable = bytearray(image)
+            self._dirty_since_flush.clear()
+
+
+MODEL_BS, MODEL_BLOCKS = 512, 64
+
+
+def _run_schedule(rng: random.Random, track_durability: bool, steps: int) -> None:
+    dev = MemoryBlockDevice(MODEL_BS, MODEL_BLOCKS, track_durability)
+    ref = FlatMemoryBlockDevice(MODEL_BS, MODEL_BLOCKS, track_durability)
+    images = [bytes(rng.randbytes(MODEL_BS * MODEL_BLOCKS))]
+    actions = ["write"] * 6 + ["read"] * 4 + ["flush", "flush", "snapshot", "restore"]
+    if track_durability:
+        actions += ["crash", "crash"]
+    for _ in range(steps):
+        action = rng.choice(actions)
+        if action == "write":
+            block = rng.randrange(MODEL_BLOCKS)
+            # Runs of one byte so flushed-then-overwritten blocks are easy to tell apart;
+            # half the writes arrive as a mutable buffer the caller then scribbles on.
+            data = bytes([rng.randrange(256)]) * MODEL_BS
+            if rng.random() < 0.5:
+                buffer = bytearray(data)
+                dev.write_block(block, buffer)
+                buffer[:] = b"\xee" * MODEL_BS
+            else:
+                dev.write_block(block, data)
+            ref.write_block(block, data)
+        elif action == "read":
+            block = rng.randrange(MODEL_BLOCKS)
+            got = dev.read_block(block)
+            assert type(got) is bytes and got == ref.read_block(block)
+        elif action == "flush":
+            dev.flush()
+            ref.flush()
+        elif action == "snapshot":
+            image = dev.snapshot()
+            assert type(image) is bytes and image == ref.snapshot()
+            images.append(image)
+        elif action == "restore":
+            image = rng.choice(images)
+            dev.restore(image)
+            ref.restore(image)
+            if track_durability and rng.random() < 0.5:
+                # The durable view was reset to the image too.
+                dev.crash()
+                ref.crash()
+                assert dev.snapshot() == image
+        else:
+            dev.crash()
+            ref.crash()
+            assert dev.snapshot() == ref.snapshot()
+    assert dev.snapshot() == ref.snapshot()
+    assert dev.io_stats == ref.io_stats
+
+
+@pytest.mark.parametrize("track_durability", [False, True])
+def test_sparse_device_matches_flat_reference_model(track_durability):
+    for schedule in range(200):
+        _run_schedule(random.Random(f"blockdev/{track_durability}/{schedule}"), track_durability, steps=200)
+
+
+# ----------------------------------------------------------------------
+# the seams the sparse representation adds: aliasing and sharing
+
+
+def test_write_block_copies_a_mutable_buffer():
+    dev = MemoryBlockDevice(block_count=4)
+    buffer = bytearray(b"a" * BS)
+    dev.write_block(1, buffer)
+    buffer[:] = b"b" * BS
+    assert dev.read_block(1) == b"a" * BS
+
+
+def test_restore_copies_a_mutable_image():
+    dev = MemoryBlockDevice(block_count=4, track_durability=True)
+    image = bytearray(b"a" * (4 * BS))
+    dev.restore(image)
+    image[:] = b"b" * (4 * BS)
+    assert dev.snapshot() == b"a" * (4 * BS)
+    dev.crash()
+    assert dev.read_block(3) == b"a" * BS
+
+
+def test_read_block_is_one_block_of_bytes_whatever_holds_it():
+    dev = MemoryBlockDevice(block_count=4)
+    never_written = dev.read_block(0)
+    dev.restore(b"i" * (4 * BS))
+    from_base = dev.read_block(1)
+    dev.write_block(2, bytearray(b"o" * BS))
+    from_overlay = dev.read_block(2)
+    for data in (never_written, from_base, from_overlay):
+        assert type(data) is bytes and len(data) == BS
+    assert (never_written, from_base, from_overlay) == (b"\x00" * BS, b"i" * BS, b"o" * BS)
+
+
+def test_snapshot_of_an_unwritten_restore_is_the_image_itself():
+    image = b"i" * (4 * BS)
+    dev = MemoryBlockDevice(block_count=4, track_durability=True)
+    dev.restore(image)
+    assert dev.snapshot() is image
+    dev.write_block(0, b"w" * BS)
+    dev.flush()
+    materialised = dev.snapshot()
+    assert materialised == b"w" * BS + b"i" * (3 * BS)
+    assert dev.snapshot() is materialised  # re-based: the second one is free
+
+
+def test_snapshot_with_unflushed_writes_keeps_the_durable_view():
+    dev = MemoryBlockDevice(block_count=4, track_durability=True)
+    dev.write_block(0, b"d" * BS)
+    dev.flush()
+    dev.write_block(0, b"v" * BS)
+    dev.write_block(1, b"v" * BS)
+    assert dev.snapshot() == b"v" * (2 * BS) + b"\x00" * (2 * BS)
+    dev.crash()
+    assert dev.snapshot() == b"d" * BS + b"\x00" * (3 * BS)
+
+
+def _allocated_by(action) -> int:
+    """Peak bytes ``action()`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        floor = tracemalloc.get_traced_memory()[0]
+        action()
+        return tracemalloc.get_traced_memory()[1] - floor
+    finally:
+        tracemalloc.stop()
+
+
+BIG_BLOCKS = 16384  # 64 MiB
+
+
+def test_restoring_one_image_into_many_devices_shares_it():
+    """The ratchet against whole-image copies coming back."""
+    image = bytes(BIG_BLOCKS * BS)
+    devices = []
+
+    def restore_eight():
+        for index in range(8):
+            dev = MemoryBlockDevice(block_count=BIG_BLOCKS, track_durability=index % 2 == 0)
+            dev.restore(image)
+            devices.append(dev)
+
+    assert _allocated_by(restore_eight) < 1 << 20
+    assert all(dev.snapshot() is image for dev in devices)
+
+
+@pytest.mark.parametrize("flushed", [8, 512])
+def test_crash_allocates_in_proportion_to_flushed_blocks(flushed):
+    dev = MemoryBlockDevice(block_count=BIG_BLOCKS, track_durability=True)
+    dev.restore(bytes(BIG_BLOCKS * BS))
+    for block in range(flushed):
+        dev.write_block(block * 7, b"f" * BS)
+    dev.flush()
+    dev.write_block(1, b"u" * BS)
+    assert _allocated_by(dev.crash) < 2048 + 256 * flushed
+    assert dev.read_block(1) == b"\x00" * BS
+    assert dev.read_block(7 * (flushed - 1)) == b"f" * BS
 
 
 def test_file_device_roundtrip(tmp_path):
