@@ -21,6 +21,12 @@ from repro.shadowfs.filesystem import ShadowFilesystem
 from repro.workloads import WorkloadGenerator, fileserver_profile
 
 N_OPS = 300
+VALIDATE_COST_ROUNDS = 5
+# A ratio of two times from one process, so it does not depend on the
+# machine.  Measured 1.04-1.14 over twelve best-of-5 repetitions with the
+# in-place walkers (1.13-1.17 when validation built an object per
+# record); the budget leaves headroom for a noisy runner.
+VALIDATE_COST_BUDGET = 1.25
 
 
 def shadow_throughput(level: CheckLevel) -> tuple[float, int]:
@@ -65,18 +71,24 @@ def test_base_validate_on_sync_cost(benchmark):
         return time.perf_counter() - start
 
     benchmark(run_base, True)
-    with_checks = run_base(True)
-    without = run_base(False)
-    overhead = with_checks / without - 1
-    print_banner("Base validate-on-sync cost (the one check the base keeps)")
+    # min is the noise-robust estimator; the two sides alternate so
+    # machine drift hits both alike.
+    runs = [(run_base(True), run_base(False)) for _ in range(VALIDATE_COST_ROUNDS)]
+    with_checks = min(run[0] for run in runs)
+    without = min(run[1] for run in runs)
+    ratio = with_checks / without
+    print_banner(f"Base validate-on-sync cost (the one check the base keeps, best of {VALIDATE_COST_ROUNDS})")
     print(
         format_table(
-            ["configuration", "seconds", "overhead"],
-            [["validate_on_sync=False", without, "—"], ["validate_on_sync=True", with_checks, f"{overhead:+.1%}"]],
+            ["configuration", "seconds", "relative"],
+            [["validate_on_sync=False", without, 1.0], ["validate_on_sync=True", with_checks, ratio]],
         )
     )
     # Detection-before-persistence must be affordable on the common path.
-    assert overhead < 2.0
+    assert ratio <= VALIDATE_COST_BUDGET, (
+        f"validate-on-sync costs {ratio:.2f}x the unvalidated base (budget {VALIDATE_COST_BUDGET}x): "
+        "the commit path should check blocks in place, not build what it only checks"
+    )
 
 
 def test_checks_catch_what_they_cost(benchmark):

@@ -44,14 +44,19 @@ from repro.blockdev.blkmq import BlockMQ, IoScheduler
 from repro.blockdev.cache import BufferCache
 from repro.blockdev.device import BlockDevice
 from repro.errors import DeviceError, Errno, FsError, InvariantViolation
-from repro.ondisk.directory import DirBlock, DirEntry
+from repro.ondisk.directory import DirBlock, DirEntry, walk_entries
 from repro.ondisk.inode import (
     FileType,
     MAX_FILE_SIZE,
     N_DIRECT,
     OnDiskInode,
     PTRS_PER_BLOCK,
+    SLOT_MODE,
+    SLOT_NLINK,
+    SLOT_SIZE,
     make_mode,
+    mode_type,
+    read_slot,
 )
 from repro.ondisk.layout import BLOCK_SIZE, INODE_SIZE, ROOT_INO
 from repro.ondisk.journal import replay_journal, reset_journal
@@ -769,20 +774,23 @@ class BaseFilesystem(FilesystemAPI):
                             f"superblock free_blocks {sb.free_blocks} != accounting {self.alloc.free_blocks}"
                         )
                 elif role == "dir":
-                    DirBlock(data).entries()
+                    walk_entries(data)
                 elif role == "itable":
                     for offset in range(0, BLOCK_SIZE, INODE_SIZE):
-                        inode = OnDiskInode.unpack(data[offset : offset + INODE_SIZE])
-                        if inode.is_free:
+                        fields = read_slot(data, offset)
+                        if fields is None or fields[SLOT_MODE] == 0:
                             continue
-                        if inode.ftype == FileType.NONE:
+                        ftype = mode_type(fields[SLOT_MODE])
+                        size = fields[SLOT_SIZE]
+                        nlink = fields[SLOT_NLINK]
+                        if ftype == FileType.NONE:
                             problems.append(f"inode in block {block}+{offset} has invalid type")
-                        if inode.size > MAX_FILE_SIZE:
-                            problems.append(f"inode in block {block}+{offset} has size {inode.size}")
-                        if inode.is_dir and inode.size % BLOCK_SIZE:
+                        if size > MAX_FILE_SIZE:
+                            problems.append(f"inode in block {block}+{offset} has size {size}")
+                        if ftype == FileType.DIRECTORY and size % BLOCK_SIZE:
                             problems.append(f"dir inode in block {block}+{offset} has unaligned size")
-                        if inode.nlink > 65535:
-                            problems.append(f"inode in block {block}+{offset} has nlink {inode.nlink}")
+                        if nlink > 65535:
+                            problems.append(f"inode in block {block}+{offset} has nlink {nlink}")
                 elif role == "indirect":
                     for pointer in unpack_pointers(data):
                         if pointer and not 0 < pointer < self.layout.block_count:

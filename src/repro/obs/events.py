@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
 Clock = Callable[[], float]
@@ -92,7 +93,11 @@ class EventLog:
     def since(self, seq: int) -> list[Event]:
         """Events emitted after event number ``seq`` that are still in
         the ring — the forensic-bundle builder's slicing primitive."""
-        return [event for event in self.events if event.seq > seq]
+        # Sequence numbers are consecutive, so the answer is the ring's
+        # last ``emitted - seq`` events: taken by count, not by scanning.
+        tail = list(islice(reversed(self.events), max(0, self.emitted - seq)))
+        tail.reverse()
+        return tail
 
     def snapshot(self) -> list[dict]:
         return [event.as_dict() for event in self.events]

@@ -60,6 +60,57 @@ class DirEntry:
             raise ValueError(f"name too long: {self.name[:32]}...")
 
 
+def _check_size(data) -> None:
+    if len(data) != BLOCK_SIZE:
+        raise ValueError(f"directory block must be {BLOCK_SIZE} bytes, got {len(data)}")
+
+
+def walk_records(data) -> list[tuple[int, int, int, int, int]]:
+    """``(offset, ino, rec_len, name_len, file_type)`` for every record
+    — live and free — of the raw directory block ``data``, read in
+    place.  This is the one statement of the record-chain rules: a
+    ``ValueError`` names the first record that breaks them."""
+    _check_size(data)
+    records = []
+    offset = 0
+    while offset < BLOCK_SIZE:
+        if offset + _HEADER_SIZE > BLOCK_SIZE:
+            raise ValueError(f"directory record header at {offset} crosses block end")
+        ino, rec_len, name_len, ftype = _unpack_header(data, offset)
+        if rec_len < _HEADER_SIZE:
+            raise ValueError(f"directory record at {offset} has rec_len {rec_len} < header size")
+        if rec_len % 4 != 0:
+            raise ValueError(f"directory record at {offset} has unaligned rec_len {rec_len}")
+        if offset + rec_len > BLOCK_SIZE:
+            raise ValueError(f"directory record at {offset} overruns the block (rec_len {rec_len})")
+        if ino != 0 and entry_size(name_len) > rec_len:
+            raise ValueError(f"directory record at {offset}: name_len {name_len} exceeds rec_len {rec_len}")
+        records.append((offset, ino, rec_len, name_len, ftype))
+        offset += rec_len
+    if offset != BLOCK_SIZE:
+        raise ValueError(f"directory records end at {offset}, not at block boundary")
+    return records
+
+
+def walk_entries(data) -> list[tuple[int, int, str, FileType]]:
+    """``(offset, ino, name, file type)`` for every live record of the
+    raw directory block ``data``, in block order, with the whole block
+    validated before anything is returned: the chain as
+    :func:`walk_records` validates it, then per live record a known
+    file type and a non-empty name that is UTF-8."""
+    live = []
+    for offset, ino, _rec_len, name_len, ftype in walk_records(data):
+        if ino == 0:
+            continue
+        start = offset + _HEADER_SIZE
+        name = data[start : start + name_len].decode()
+        kind = file_type(ftype)
+        if name_len == 0:
+            raise ValueError("empty directory entry name")
+        live.append((offset, ino, name, kind))
+    return live
+
+
 class DirBlock:
     """One directory data block.
 
@@ -72,49 +123,17 @@ class DirBlock:
             empty = struct.pack(_HEADER, 0, BLOCK_SIZE, 0, 0)
             self._data = bytearray(empty + b"\x00" * (BLOCK_SIZE - len(empty)))
         else:
-            if len(data) != BLOCK_SIZE:
-                raise ValueError(f"directory block must be {BLOCK_SIZE} bytes, got {len(data)}")
+            _check_size(data)
             self._data = bytearray(data)
 
     def to_block(self) -> bytes:
         return bytes(self._data)
 
-    # ---- raw record walking ----------------------------------------------
-
-    def _records(self) -> list[tuple[int, int, int, int, int]]:
-        """Yield ``(offset, ino, rec_len, name_len, file_type)`` for every
-        record — live and free — validating the chain as it goes."""
-        records = []
-        data = self._data
-        offset = 0
-        while offset < BLOCK_SIZE:
-            if offset + _HEADER_SIZE > BLOCK_SIZE:
-                raise ValueError(f"directory record header at {offset} crosses block end")
-            ino, rec_len, name_len, ftype = _unpack_header(data, offset)
-            if rec_len < _HEADER_SIZE:
-                raise ValueError(f"directory record at {offset} has rec_len {rec_len} < header size")
-            if rec_len % 4 != 0:
-                raise ValueError(f"directory record at {offset} has unaligned rec_len {rec_len}")
-            if offset + rec_len > BLOCK_SIZE:
-                raise ValueError(f"directory record at {offset} overruns the block (rec_len {rec_len})")
-            if ino != 0 and entry_size(name_len) > rec_len:
-                raise ValueError(f"directory record at {offset}: name_len {name_len} exceeds rec_len {rec_len}")
-            records.append((offset, ino, rec_len, name_len, ftype))
-            offset += rec_len
-        if offset != BLOCK_SIZE:
-            raise ValueError(f"directory records end at {offset}, not at block boundary")
-        return records
+    # ---- reading: thin users of the walkers --------------------------------
 
     def entries(self) -> list[DirEntry]:
         """All live entries in block order."""
-        data = self._data
-        out = []
-        for offset, ino, _rec_len, name_len, ftype in self._records():
-            if ino == 0:
-                continue
-            start = offset + _HEADER_SIZE
-            out.append(DirEntry(ino, data[start : start + name_len].decode(), file_type(ftype), offset))
-        return out
+        return [DirEntry(ino, name, kind, offset) for offset, ino, name, kind in walk_entries(self._data)]
 
     def find(self, name: str) -> DirEntry | None:
         """The live entry called ``name``, or None.
@@ -127,7 +146,7 @@ class DirBlock:
         wanted = len(encoded)
         data = self._data
         found = None
-        for offset, ino, _rec_len, name_len, ftype in self._records():
+        for offset, ino, _rec_len, name_len, ftype in walk_records(data):
             if ino == 0:
                 continue
             kind = file_type(ftype)
@@ -153,7 +172,7 @@ class DirBlock:
             raise ValueError(f"bad name length {len(encoded)}")
         needed = entry_size(len(encoded))
 
-        for offset, rec_ino, rec_len, name_len, _ftype in self._records():
+        for offset, rec_ino, rec_len, name_len, _ftype in walk_records(self._data):
             if rec_ino == 0:
                 if rec_len >= needed:
                     self._write_record(offset, ino, rec_len, encoded, ftype)
@@ -171,7 +190,7 @@ class DirBlock:
 
     def remove(self, name: str) -> bool:
         """Remove the entry named ``name``; returns whether it existed."""
-        records = self._records()
+        records = walk_records(self._data)
         for i, (offset, ino, rec_len, name_len, _ftype) in enumerate(records):
             if ino == 0:
                 continue

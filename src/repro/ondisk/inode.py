@@ -57,11 +57,45 @@ _PERM_MASK = 0o7777
 _FORMAT = "<IIIIIQQQQI" + "I" * N_DIRECT + "III"
 _SIZE = struct.calcsize(_FORMAT)
 assert _SIZE <= INODE_SIZE, _SIZE
+_unpack_slot = struct.Struct(_FORMAT).unpack
+_ZERO_SLOT = bytes(_SIZE)
+# Where a reader of :func:`read_slot`'s tuple finds the fields it tests.
+SLOT_MODE, SLOT_NLINK, SLOT_SIZE = 0, 3, 5
 
 
 def make_mode(ftype: FileType, perms: int = 0o644) -> int:
     """Compose a mode word from a file type and permission bits."""
     return (int(ftype) << _TYPE_SHIFT) | (perms & _PERM_MASK)
+
+
+def mode_type(mode: int) -> FileType:
+    """The file type a mode word stores; type bits that name no type
+    read as ``FileType.NONE``."""
+    return _FILE_TYPES.get(mode >> _TYPE_SHIFT, FileType.NONE)
+
+
+def read_slot(raw, offset: int = 0, verify: bool = True) -> tuple | None:
+    """The stored fields of the inode slot at ``offset`` of ``raw``, in
+    ``_FORMAT`` order (mode, uid, gid, nlink, flags, size, atime, mtime,
+    ctime, generation, 12 direct pointers, indirect, double indirect,
+    checksum), read in place — ``raw`` may be a whole inode-table block.
+
+    A completely zeroed slot is a free inode and reads as None without
+    checksum verification (zero is not a valid CRC of the zero prefix,
+    and free slots are simply never written).  Any nonzero slot must
+    checksum."""
+    body = raw[offset : offset + _SIZE]
+    if len(body) < _SIZE:
+        raise ValueError(f"inode slot too short: {len(body)} bytes")
+    if body == _ZERO_SLOT:
+        return None
+    fields = _unpack_slot(body)
+    if verify:
+        stored_crc = fields[-1]
+        actual_crc = checksum32(body[:-4])
+        if actual_crc != stored_crc:
+            raise ValueError(f"inode checksum mismatch: stored 0x{stored_crc:08x}, computed 0x{actual_crc:08x}")
+    return fields
 
 
 @dataclass
@@ -92,7 +126,7 @@ class OnDiskInode:
 
     @property
     def ftype(self) -> FileType:
-        return _FILE_TYPES.get(self.mode >> _TYPE_SHIFT, FileType.NONE)
+        return mode_type(self.mode)
 
     @property
     def perms(self) -> int:
@@ -147,40 +181,12 @@ class OnDiskInode:
 
     @classmethod
     def unpack(cls, raw: bytes, verify: bool = True) -> "OnDiskInode":
-        """Parse a 256-byte inode slot.
-
-        A completely zeroed slot parses as a free inode without checksum
-        verification (zero is not a valid CRC of the zero prefix, and free
-        slots are simply never written).  Any nonzero slot must checksum.
-        """
-        if len(raw) < _SIZE:
-            raise ValueError(f"inode slot too short: {len(raw)} bytes")
-        if raw[:_SIZE] == b"\x00" * _SIZE:
+        """Parse a 256-byte inode slot as :func:`read_slot` reads it; a
+        zero slot parses as a free inode."""
+        fields = read_slot(raw, verify=verify)
+        if fields is None:
             return cls()
-        fields = struct.unpack(_FORMAT, raw[:_SIZE])
-        stored_crc = fields[-1]
-        if verify:
-            actual_crc = checksum32(raw[: _SIZE - 4])
-            if actual_crc != stored_crc:
-                raise ValueError(
-                    f"inode checksum mismatch: stored 0x{stored_crc:08x}, computed 0x{actual_crc:08x}"
-                )
-        ino = cls(
-            mode=fields[0],
-            uid=fields[1],
-            gid=fields[2],
-            nlink=fields[3],
-            flags=fields[4],
-            size=fields[5],
-            atime=fields[6],
-            mtime=fields[7],
-            ctime=fields[8],
-            generation=fields[9],
-            direct=list(fields[10 : 10 + N_DIRECT]),
-            indirect=fields[10 + N_DIRECT],
-            double_indirect=fields[11 + N_DIRECT],
-        )
-        return ino
+        return cls(*fields[:10], list(fields[10 : 10 + N_DIRECT]), fields[10 + N_DIRECT], fields[11 + N_DIRECT])
 
     def copy(self) -> "OnDiskInode":
         return OnDiskInode(

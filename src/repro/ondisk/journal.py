@@ -168,7 +168,7 @@ class JournalWriter:
         data_crc = 0
         for block in targets:
             self.device.write_block(self._cursor, writes[block])
-            data_crc = checksum32(struct.pack("<I", data_crc) + writes[block])
+            data_crc = checksum32(writes[block], checksum32(struct.pack("<I", data_crc)))
             self._cursor += 1
 
         commit = struct.pack(_COMMIT_FORMAT, JOURNAL_MAGIC, _BLOCKTYPE_COMMIT, seq, data_crc, 0)
@@ -230,7 +230,7 @@ def replay_journal(device: BlockDevice, layout: DiskLayout, apply: bool = True) 
         for i, target in enumerate(targets):
             data = device.read_block(cursor + 1 + i)
             writes[target] = data
-            data_crc = checksum32(struct.pack("<I", data_crc) + data)
+            data_crc = checksum32(data, checksum32(struct.pack("<I", data_crc)))
 
         commit_raw = device.read_block(cursor + 1 + ntags)
         try:

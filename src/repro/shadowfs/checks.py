@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import NoReturn
 
 from repro.errors import InvariantViolation
-from repro.ondisk.directory import DirBlock, DirEntry
+from repro.ondisk.directory import DirEntry, walk_entries
 from repro.ondisk.inode import FileType, MAX_FILE_SIZE, OnDiskInode
 from repro.ondisk.layout import BLOCK_SIZE, DiskLayout
 from repro.ondisk.superblock import STATE_CLEAN, STATE_DIRTY, Superblock
@@ -140,25 +140,44 @@ class ShadowChecks:
 
     # ---- directories ---------------------------------------------------------
 
-    def dir_block(self, ino: int, block: int, raw: bytes) -> list[DirEntry]:
-        """Parse one directory block and return its live entries.
+    def _dir_records(self, ino: int, block: int, raw: bytes) -> list[tuple[int, int, str, FileType]]:
+        """Validate one directory block and return the walker's
+        ``(offset, ino, name, file type)`` per live entry.
 
-        The parse happens here, once, at every level (below BASIC it is
-        all that happens, and a malformed block raises the parser's
-        ``ValueError``), and the caller works on the entries it gets
-        back rather than parsing the block again."""
+        The walk happens here, once, at every level (below BASIC it is
+        all that happens, and a malformed block raises the walker's
+        ``ValueError``); BASIC and above also range-check every entry's
+        inode number."""
         if self.level < CheckLevel.BASIC:
-            return DirBlock(raw).entries()
+            return walk_entries(raw)
         self._ran("dir-block")
         try:
-            entries = DirBlock(raw).entries()
+            records = walk_entries(raw)
         except ValueError as exc:
             self._fail("dir-block", f"directory {ino} block {block} is malformed: {exc}")
         inode_count = self.layout.inode_count
-        for entry in entries:
-            if not 1 <= entry.ino <= inode_count:
-                self._fail("dir-block", f"directory {ino} entry {entry.name!r} points at inode {entry.ino}")
-        return entries
+        for _offset, entry_ino, name, _kind in records:
+            if not 1 <= entry_ino <= inode_count:
+                self._fail("dir-block", f"directory {ino} entry {name!r} points at inode {entry_ino}")
+        return records
+
+    def dir_block(self, ino: int, block: int, raw: bytes) -> list[DirEntry]:
+        """Check one directory block and return its live entries; the
+        caller works on them rather than parsing the block again."""
+        return [
+            DirEntry(entry_ino, name, kind, offset)
+            for offset, entry_ino, name, kind in self._dir_records(ino, block, raw)
+        ]
+
+    def dir_lookup(self, ino: int, block: int, raw: bytes, name: str) -> DirEntry | None:
+        """The entry called ``name`` in one directory block, or None.
+        The block is checked exactly as :meth:`dir_block` checks it —
+        every name decoded, every inode number in range, one tick —
+        and only the match becomes a :class:`DirEntry`."""
+        for offset, entry_ino, stored, kind in self._dir_records(ino, block, raw):
+            if stored == name:
+                return DirEntry(entry_ino, name, kind, offset)
+        return None
 
     def dir_has_dots(self, ino: int, names: set[str]) -> None:
         if self.level < CheckLevel.BASIC:

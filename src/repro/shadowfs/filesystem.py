@@ -285,7 +285,9 @@ class ShadowFilesystem(FilesystemAPI):
         block, offset = self.layout.inode_location(ino)
         raw = self._read_block(block)
         inode = OnDiskInode.unpack(raw[offset : offset + INODE_SIZE])
-        self.checks.inode(ino, inode, allow_orphan=allow_orphan or ino in self._orphans or bool(self.fd_table.fds_for_ino(ino)))
+        if inode.nlink == 0 and not allow_orphan:  # the one case checks.inode reads allow_orphan in
+            allow_orphan = ino in self._orphans or bool(self.fd_table.fds_for_ino(ino))
+        self.checks.inode(ino, inode, allow_orphan=allow_orphan)
         self.checks.ino_allocated(ino, self._ino_is_allocated)
         return Ref(ino=ino, inode=inode)
 
@@ -447,9 +449,9 @@ class ShadowFilesystem(FilesystemAPI):
 
     def _dir_find(self, ref: Ref, name: str) -> DirEntry | None:
         for block in self._dir_blocks(ref):
-            for entry in self.checks.dir_block(ref.ino, block, self._read_block(block)):
-                if entry.name == name:
-                    return entry
+            entry = self.checks.dir_lookup(ref.ino, block, self._read_block(block), name)
+            if entry is not None:
+                return entry
         return None
 
     def _dir_is_empty(self, ref: Ref) -> bool:

@@ -26,19 +26,12 @@ class ScratchImage:
     def __init__(self, block_count: int = 1024, journal_blocks: int = 8):
         self.block_count = block_count
         self.journal_blocks = journal_blocks
-        self.live: list[MemoryBlockDevice] = []
 
     def setup(self) -> MemoryBlockDevice:
-        mem = formatted_device(self.block_count, self.journal_blocks, track_durability=True)
-        self.live.append(mem)
-        return mem
+        return formatted_device(self.block_count, self.journal_blocks, track_durability=True)
 
     def teardown(self, mem: MemoryBlockDevice | None = None) -> None:
-        if mem is None:
-            self.live.clear()
-            return
-        if mem in self.live:
-            self.live.remove(mem)
+        """Nothing to release: an in-memory scratch device is just dropped."""
 
     def __enter__(self) -> MemoryBlockDevice:
         return self.setup()

@@ -13,14 +13,16 @@ import zlib
 from pathlib import Path
 
 
-def checksum32(data: bytes) -> int:
+def checksum32(data: bytes, running: int = 0) -> int:
     """32-bit checksum used by on-disk structures (CRC-32 via zlib).
 
     The real ext4 uses crc32c; plain crc32 has the same role here — detect
     silent corruption of metadata blocks — and is available without C
-    extensions.
+    extensions.  ``running`` is the checksum of what precedes ``data``:
+    ``checksum32(b, checksum32(a)) == checksum32(a + b)`` without the
+    concatenation.
     """
-    return zlib.crc32(data) & 0xFFFFFFFF
+    return zlib.crc32(data, running) & 0xFFFFFFFF
 
 
 class LogicalClock:

@@ -71,6 +71,24 @@ class TestEventLog:
         assert [e.corr_id for e in sliced] == [1, 2]
         assert log.since(log.emitted) == []
 
+    def test_since_after_eviction_and_for_marks_older_than_the_ring(self):
+        log = EventLog(clock=FakeClock(), limit=4)
+        for mark in range(11):
+            # Every mark against the scan since() used to be.
+            for probe in range(-1, log.emitted + 2):
+                assert log.since(probe) == [e for e in log.events if e.seq > probe], (mark, probe)
+            log.emit("tick", corr_id=mark)
+        assert [e.seq for e in log.since(8)] == [9, 10, 11]  # a mark still in the ring
+        assert [e.seq for e in log.since(7)] == [8, 9, 10, 11]  # the mark just evicted: the whole ring
+        assert [e.seq for e in log.since(2)] == [8, 9, 10, 11]  # a mark long gone: what is left, no more
+        assert log.since(11) == [] and log.since(12) == []
+        assert len(log) == 4 and log.dropped == 7  # since() consumed nothing
+
+    def test_since_on_a_disabled_log_is_empty(self):
+        log = EventLog(clock=FakeClock(), enabled=False)
+        log.emit("detect")
+        assert log.since(0) == []
+
     def test_disabled_log_is_a_no_op(self):
         log = EventLog(clock=FakeClock(), enabled=False)
         assert log.emit("detect") is None

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from repro.ondisk.directory import MAX_NAME_LEN, DirBlock, DirEntry, entry_size
+from repro.ondisk.directory import MAX_NAME_LEN, DirBlock, DirEntry, entry_size, walk_entries, walk_records
 from repro.ondisk.inode import FileType
 from repro.ondisk.layout import BLOCK_SIZE
+from tests.reference_ondisk import outcome, reference_entries, reference_records
+from tests.reference_ondisk import reference_find as reference_find_as_stored
 
 
 def test_fresh_block_is_empty():
@@ -136,7 +138,7 @@ def test_wrong_block_size_rejected():
 def reference_find(block: DirBlock, name: str) -> DirEntry | None:
     """The body find had before it compared names as stored: parse
     every live record into a DirEntry, then look through them."""
-    for entry in block.entries():
+    for entry in reference_entries(block.to_block()):
         if entry.name == name:
             return entry
     return None
@@ -145,31 +147,31 @@ def reference_find(block: DirBlock, name: str) -> DirEntry | None:
 def _both(raw: bytes, name: str):
     """(outcome of find, outcome of the reference), an outcome being the
     entry found or the text of the ValueError raised."""
-    outcomes = []
-    for finder in (DirBlock.find, reference_find):
-        try:
-            outcomes.append(finder(DirBlock(raw), name))
-        except ValueError as exc:
-            outcomes.append(f"{type(exc).__name__}: {exc}")
-    return outcomes
+    return [outcome(finder, DirBlock(raw), name) for finder in (DirBlock.find, reference_find)]
+
+
+def _random_history(rng: random.Random) -> tuple[bytes, list[str], list[str]]:
+    """A block after a random insert/remove history, with the names
+    still in it and the names removed from it."""
+    block = DirBlock()
+    live: list[str] = []
+    gone: list[str] = []
+    for step in range(rng.randrange(1, 120)):
+        if live and rng.random() < 0.4:
+            name = live.pop(rng.randrange(len(live)))
+            assert block.remove(name)
+            gone.append(name)
+        else:
+            name = rng.choice(["f", "file", "файл", "a-much-longer-file-name-"]) * rng.randrange(1, 4) + str(step)
+            if block.insert(step + 1, name, rng.choice(list(FileType)[1:])):
+                live.append(name)
+    return block.to_block(), live, gone
 
 
 def test_find_matches_reference_on_random_histories():
     rng = random.Random(1515)
     for _round in range(40):
-        block = DirBlock()
-        live: list[str] = []
-        gone: list[str] = []
-        for step in range(rng.randrange(1, 120)):
-            if live and rng.random() < 0.4:
-                name = live.pop(rng.randrange(len(live)))
-                assert block.remove(name)
-                gone.append(name)
-            else:
-                name = rng.choice(["f", "file", "файл", "a-much-longer-file-name-"]) * rng.randrange(1, 4) + str(step)
-                if block.insert(step + 1, name, rng.choice(list(FileType)[1:])):
-                    live.append(name)
-        raw = block.to_block()
+        raw, live, gone = _random_history(rng)
         for name in live + gone + ["", ".", "no-such-name"]:
             fast, slow = _both(raw, name)
             assert fast == slow, name
@@ -184,7 +186,7 @@ def test_find_on_the_shapes_deletion_leaves_behind():
     block.remove("abcd-long-enough-to-leave-slack")  # folded into "a"'s rec_len
     block.insert(9, "abcdef", FileType.SYMLINK)  # too long for the leading slot: carved out of that slack
     raw = block.to_block()
-    assert DirBlock(raw)._records()[0][1] == 0
+    assert walk_records(raw)[0][1] == 0
     for name in ("ab", "abc", "a", "abcdef", "abcd-long-enough-to-leave-slack", "z", "abcde", "b"):
         fast, slow = _both(raw, name)
         assert fast == slow, name
@@ -193,7 +195,7 @@ def test_find_on_the_shapes_deletion_leaves_behind():
 
 
 def _record(block: DirBlock, index: int) -> int:
-    return block._records()[index][0]
+    return walk_records(block.to_block())[index][0]
 
 
 @pytest.mark.parametrize(
@@ -240,3 +242,85 @@ def test_direntry_name_length_is_measured_in_bytes():
     DirEntry(ino=1, name="😀" * 63, ftype=FileType.REGULAR)  # 252 bytes
     with pytest.raises(ValueError, match="name too long"):
         DirEntry(ino=1, name="😀" * 64, ftype=FileType.REGULAR)
+
+
+# ---- the walkers against the object-building bodies they replaced ----------
+
+
+def _assert_walkers_match(raw: bytes, names=()) -> None:
+    assert outcome(walk_records, raw) == outcome(reference_records, raw)
+    listed = outcome(reference_entries, raw)
+    assert outcome(lambda: DirBlock(raw).entries()) == listed
+    walked = outcome(walk_entries, raw)
+    if isinstance(listed, str):
+        assert walked == listed
+    else:
+        assert walked == [(e.offset, e.ino, e.name, e.ftype) for e in listed]
+    for name in names:
+        assert outcome(lambda: DirBlock(raw).find(name)) == outcome(reference_find_as_stored, raw, name), name
+
+
+def test_walkers_match_reference_on_random_histories_and_random_damage():
+    rng = random.Random(2323)
+    refused = 0
+    for _round in range(60):
+        raw, live, _gone = _random_history(rng)
+        probes = live[:3] + ["", "no-such-name"]
+        _assert_walkers_match(raw, probes)
+        for _variant in range(12):
+            damaged = bytearray(raw)
+            for _flip in range(rng.randrange(1, 4)):
+                # Headers sit at the front of a young block: aim there.
+                damaged[rng.randrange(rng.choice((32, 256, BLOCK_SIZE)))] ^= 1 << rng.randrange(8)
+            _assert_walkers_match(bytes(damaged), probes)
+            refused += isinstance(outcome(walk_entries, bytes(damaged)), str)
+    assert refused > 100  # the damage does reach the rules
+    for _round in range(20):  # and blocks that were never directory blocks
+        _assert_walkers_match(rng.randbytes(BLOCK_SIZE), ["x"])
+    for size in (0, 100, BLOCK_SIZE - 1, BLOCK_SIZE + 4):
+        _assert_walkers_match(bytes(size), ["x"])
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda raw, at: raw.__setitem__(slice(at + 4, at + 6), (3).to_bytes(2, "little")),
+        lambda raw, at: raw.__setitem__(slice(at + 4, at + 6), (14).to_bytes(2, "little")),
+        lambda raw, at: raw.__setitem__(slice(at + 4, at + 6), (BLOCK_SIZE).to_bytes(2, "little")),
+        lambda raw, at: raw.__setitem__(slice(at + 4, at + 6), (BLOCK_SIZE + 8).to_bytes(2, "little")),
+        lambda raw, at: raw.__setitem__(at + 6, 200),
+        lambda raw, at: raw.__setitem__(at + 7, 9),
+        lambda raw, at: raw.__setitem__(at + 6, 0),
+        lambda raw, at: raw.__setitem__(slice(at + 6, at + 8), b"\x00\x09"),  # empty name *and* bad type
+        lambda raw, at: raw.__setitem__(at + 8, 0xFF),  # name not UTF-8
+        lambda raw, at: raw.__setitem__(slice(at + 7, at + 9), b"\x09\xff"),  # ... *and* bad type
+    ],
+)
+def test_walkers_match_reference_on_the_named_malformations(damage):
+    block = DirBlock()
+    for ino, name in enumerate(("first", "second", "third"), start=1):
+        block.insert(ino, name, FileType.REGULAR)
+    for index in (0, 1, 2):
+        raw = bytearray(block.to_block())
+        damage(raw, _record(block, index))
+        if index == 1:  # the first record may span the block and the last has room for any name
+            assert isinstance(outcome(walk_entries, bytes(raw)), str)
+        _assert_walkers_match(bytes(raw), ["first", "second", "third", "absent"])
+
+
+def test_walkers_on_a_chain_that_ends_off_the_block():
+    block = DirBlock()
+    block.insert(1, "only", FileType.REGULAR)
+    raw = bytearray(block.to_block())
+    raw[4:6] = (BLOCK_SIZE - 4).to_bytes(2, "little")  # next header would start at 4092
+    assert "crosses block end" in outcome(walk_records, bytes(raw))
+    _assert_walkers_match(bytes(raw), ["only"])
+
+
+def test_walkers_read_any_buffer_in_place():
+    block = DirBlock()
+    block.insert(7, "seven", FileType.DIRECTORY)
+    raw = block.to_block()
+    for view in (raw, bytearray(raw), memoryview(raw)):
+        assert walk_records(view) == reference_records(raw)
+    assert walk_entries(bytearray(raw)) == walk_entries(raw) == [(0, 7, "seven", FileType.DIRECTORY)]

@@ -1,5 +1,7 @@
 """Tests for repro.ondisk.inode."""
 
+import random
+
 import pytest
 
 from repro.ondisk.inode import (
@@ -8,9 +10,15 @@ from repro.ondisk.inode import (
     N_DIRECT,
     OnDiskInode,
     PTRS_PER_BLOCK,
+    SLOT_MODE,
+    SLOT_NLINK,
+    SLOT_SIZE,
     make_mode,
+    mode_type,
+    read_slot,
 )
 from repro.ondisk.layout import BLOCK_SIZE, INODE_SIZE
+from tests.reference_ondisk import outcome, reference_unpack
 
 
 def test_make_mode_and_type_accessors():
@@ -96,3 +104,77 @@ def test_pack_rejects_wrong_pointer_count():
 def test_invalid_type_bits_map_to_none():
     inode = OnDiskInode(mode=(9 << 12))
     assert inode.ftype == FileType.NONE
+
+
+# ---- read_slot / unpack against the body unpack had ------------------------
+
+
+def _random_inode(rng: random.Random) -> OnDiskInode:
+    inode = OnDiskInode(
+        mode=make_mode(rng.choice(list(FileType)), rng.randrange(0o10000)),
+        uid=rng.randrange(1 << 32),
+        gid=rng.randrange(1 << 32),
+        nlink=rng.randrange(1 << 17),
+        flags=rng.randrange(4),
+        size=rng.randrange(MAX_FILE_SIZE * 2),
+        atime=rng.randrange(1 << 40),
+        mtime=rng.randrange(1 << 40),
+        ctime=rng.randrange(1 << 40),
+        generation=rng.randrange(1 << 32),
+        indirect=rng.randrange(1 << 20),
+        double_indirect=rng.randrange(1 << 20),
+    )
+    inode.direct = [rng.randrange(1 << 20) if rng.random() < 0.5 else 0 for _ in range(N_DIRECT)]
+    return inode
+
+
+def test_unpack_and_read_slot_match_reference_on_random_slots():
+    rng = random.Random(2323)
+    refused = 0
+    for _round in range(300):
+        inode = _random_inode(rng)
+        slot = inode.pack()
+        assert OnDiskInode.unpack(slot) == reference_unpack(slot) == inode
+        fields = read_slot(slot)
+        assert (fields[SLOT_MODE], fields[SLOT_NLINK], fields[SLOT_SIZE]) == (inode.mode, inode.nlink, inode.size)
+        assert mode_type(fields[SLOT_MODE]) == inode.ftype
+        damaged = bytearray(slot)
+        for _flip in range(rng.randrange(1, 3)):
+            damaged[rng.randrange(INODE_SIZE)] ^= 1 << rng.randrange(8)
+        for verify in (True, False):
+            got = outcome(OnDiskInode.unpack, bytes(damaged), verify=verify)
+            assert got == outcome(reference_unpack, bytes(damaged), verify=verify)
+            refused += isinstance(got, str)
+    assert refused > 100
+
+
+def test_read_slot_reads_a_table_block_in_place():
+    rng = random.Random(7)
+    inodes = [_random_inode(rng) if rng.random() < 0.6 else OnDiskInode() for _ in range(BLOCK_SIZE // INODE_SIZE)]
+    block = b"".join(inode.pack() if not inode.is_free else bytes(INODE_SIZE) for inode in inodes)
+    for view in (block, bytearray(block), memoryview(block)):
+        for index, inode in enumerate(inodes):
+            offset = index * INODE_SIZE
+            fields = read_slot(view, offset)
+            assert (fields is None) == inode.is_free
+            assert OnDiskInode.unpack(block[offset : offset + INODE_SIZE]) == inode
+            if fields is not None:
+                assert fields == read_slot(block[offset : offset + INODE_SIZE])
+
+
+def test_the_named_slot_shapes_match_reference():
+    live = OnDiskInode(mode=make_mode(FileType.REGULAR), nlink=1).pack()
+    stale = bytearray(live)
+    stale[8] ^= 0x40
+    zero_mode = OnDiskInode(mode=0, nlink=3).pack()  # written, checksummed, mode 0: not the zero slot
+    crc_only = bytes(112) + b"\x01\x00\x00\x00" + bytes(INODE_SIZE - 116)
+    padding_only = bytes(116) + b"\x01" + bytes(INODE_SIZE - 117)  # zero within the format: still free
+    for raw in (bytes(INODE_SIZE), live, bytes(stale), zero_mode, crc_only, padding_only, live[:116], live[:50], b""):
+        for verify in (True, False):
+            assert outcome(OnDiskInode.unpack, raw, verify=verify) == outcome(reference_unpack, raw, verify=verify)
+    assert read_slot(bytes(INODE_SIZE)) is None and read_slot(padding_only) is None
+    assert read_slot(zero_mode)[SLOT_NLINK] == 3
+    with pytest.raises(ValueError, match="too short: 50 bytes"):
+        read_slot(live[:50])
+    with pytest.raises(ValueError, match="too short"):
+        read_slot(live, offset=INODE_SIZE - 100)

@@ -157,3 +157,31 @@ def test_journal_superblock_checksum_guard():
     device.write_block(layout.journal_start, bytes(raw))
     with pytest.raises(ValueError):
         replay_journal(device, layout)
+
+
+def test_multi_block_commit_record_is_the_one_the_concatenating_crc_wrote():
+    """The data CRC is chained through ``zlib.crc32``'s running value;
+    the bytes on the journal are those of the formula that concatenated
+    the 4-byte running CRC and each 4 KiB block."""
+    import random
+    import struct
+    import zlib
+
+    rng = random.Random(2323)
+    device, layout = make()
+    writer = JournalWriter(device, layout)
+    base = layout.data_start(0)
+    cursor = layout.journal_start + 1
+    for seq, nblocks in enumerate((1, 2, 7, 23), start=1):
+        writes = {base + offset: rng.randbytes(BLOCK_SIZE) for offset in rng.sample(range(500), nblocks)}
+        writer.append(writes)
+        data_crc = 0
+        for index, block in enumerate(sorted(writes)):
+            assert device.read_block(cursor + 1 + index) == writes[block]
+            data_crc = zlib.crc32(struct.pack("<I", data_crc) + writes[block]) & 0xFFFFFFFF
+        commit = struct.pack("<IIQI", 0x10DE_10AD, 2, seq, data_crc)
+        commit += struct.pack("<I", zlib.crc32(commit) & 0xFFFFFFFF)
+        assert device.read_block(cursor + 1 + len(writes)) == commit + bytes(BLOCK_SIZE - len(commit))
+        cursor += len(writes) + 2
+    # ... and replay, which chains the same way, accepts all of them.
+    assert [len(txn.writes) for txn in replay_journal(device, layout, apply=False)] == [1, 2, 7, 23]

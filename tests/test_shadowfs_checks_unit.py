@@ -1,5 +1,7 @@
 """Unit tests for each of the shadow's runtime checks in isolation."""
 
+import random
+
 import pytest
 
 from repro.errors import InvariantViolation
@@ -8,6 +10,7 @@ from repro.ondisk.inode import FileType, MAX_FILE_SIZE, OnDiskInode, make_mode
 from repro.ondisk.layout import BLOCK_SIZE, DiskLayout
 from repro.ondisk.superblock import Superblock
 from repro.shadowfs.checks import CheckLevel, ShadowChecks
+from tests.reference_ondisk import reference_entries
 
 
 @pytest.fixture
@@ -143,6 +146,19 @@ class TestDirChecks:
         with pytest.raises(InvariantViolation, match="points at inode"):
             basic(layout).dir_block(2, 200, block.to_block())
 
+    def test_dir_lookup_builds_the_match_and_checks_the_whole_block(self, layout):
+        block = DirBlock()
+        block.insert(2, "x", FileType.REGULAR)
+        block.insert(3, "y", FileType.DIRECTORY)
+        block.insert(999999, "z", FileType.REGULAR)
+        checks = basic(layout)
+        with pytest.raises(InvariantViolation, match="entry 'z' points at inode 999999"):
+            checks.dir_lookup(2, 200, block.to_block(), "x")  # found first, refused all the same
+        block.remove("z")
+        assert checks.dir_lookup(2, 200, block.to_block(), "y") == block.find("y")
+        assert checks.dir_lookup(2, 200, block.to_block(), "absent") is None
+        assert checks.stats.by_name == {"dir-block": 3} and checks.stats.failures == 1
+
     def test_dots_required(self, layout):
         with pytest.raises(InvariantViolation, match="lacks"):
             basic(layout).dir_has_dots(2, {"only-this"})
@@ -176,3 +192,82 @@ class TestInputAndFdChecks:
         checks.dir_has_dots(2, {".", ".."})
         assert checks.stats.checks_run >= 2
         assert checks.stats.by_name.get("inode") == 1
+
+
+# ---- one-name lookup against dir_block + linear search ----------------------
+
+
+def reference_dir_block(checks: ShadowChecks, ino: int, block: int, raw: bytes):
+    """``ShadowChecks.dir_block`` as it stood before the walkers: parse
+    every live record into a DirEntry, then range-check the entries."""
+    if checks.level < CheckLevel.BASIC:
+        return reference_entries(raw)
+    checks._ran("dir-block")
+    try:
+        entries = reference_entries(raw)
+    except ValueError as exc:
+        checks._fail("dir-block", f"directory {ino} block {block} is malformed: {exc}")
+    for entry in entries:
+        if not 1 <= entry.ino <= checks.layout.inode_count:
+            checks._fail("dir-block", f"directory {ino} entry {entry.name!r} points at inode {entry.ino}")
+    return entries
+
+
+def reference_dir_lookup(checks: ShadowChecks, ino: int, block: int, raw: bytes, name: str):
+    for entry in reference_dir_block(checks, ino, block, raw):
+        if entry.name == name:
+            return entry
+    return None
+
+
+def _outcome(checks: ShadowChecks, function, *args):
+    """What the call gave — value or exception, with the check it names
+    — and what it left in the check statistics."""
+    try:
+        result = function(*args)
+    except (InvariantViolation, ValueError) as exc:
+        result = (type(exc).__name__, str(exc), getattr(exc, "check", None))
+    stats = checks.stats
+    return result, stats.checks_run, stats.failures, dict(stats.by_name)
+
+
+def _damaged_dir_blocks(rng: random.Random):
+    """(block, names to ask for): random insert/remove histories, clean
+    and with a few bits flipped where the record headers sit."""
+    for _round in range(40):
+        block = DirBlock()
+        live = []
+        for step in range(rng.randrange(1, 60)):
+            if live and rng.random() < 0.35:
+                block.remove(live.pop(rng.randrange(len(live))))
+            else:
+                name = rng.choice(["f", "файл", "longer-name-"]) + str(step)
+                if block.insert(rng.randrange(1, 3000), name, rng.choice(list(FileType)[1:])):
+                    live.append(name)
+        names = live[:2] + live[-1:] + ["absent", ""]
+        raw = block.to_block()
+        yield raw, names
+        for _variant in range(10):
+            damaged = bytearray(raw)
+            for _flip in range(rng.randrange(1, 3)):
+                damaged[rng.randrange(rng.choice((16, 128, 1024)))] ^= 1 << rng.randrange(8)
+            yield bytes(damaged), names
+
+
+@pytest.mark.parametrize("level", [CheckLevel.FULL, CheckLevel.BASIC, CheckLevel.OFF])
+def test_dir_lookup_and_dir_block_match_their_reference(layout, level):
+    rng = random.Random(2323)
+    refused = violations = 0
+    for raw, names in _damaged_dir_blocks(rng):
+        new, old = ShadowChecks(layout, level), ShadowChecks(layout, level)
+        listed = _outcome(new, new.dir_block, 7, 300, raw)
+        assert listed == _outcome(old, reference_dir_block, old, 7, 300, raw)
+        for name in names:
+            found = _outcome(new, new.dir_lookup, 7, 300, raw, name)
+            assert found == _outcome(old, reference_dir_lookup, old, 7, 300, raw, name), name
+        refused += isinstance(listed[0], tuple)
+        violations += isinstance(listed[0], tuple) and listed[0][0] == "InvariantViolation"
+        if level < CheckLevel.BASIC:
+            assert new.stats.checks_run == 0
+    assert refused > 50
+    assert (violations == 0) if level < CheckLevel.BASIC else (violations == refused)

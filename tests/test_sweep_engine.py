@@ -181,15 +181,22 @@ class TestClassification:
         assert result.outcome == OUTCOME_CLEAN
 
     def test_submission_only_site_is_unreached(self):
-        # filesystem.py:687 enqueues into blk-mq; no device call happens
-        # while the line is live — the sweep must report it unreached
-        # (and the sanctions table argues why that is correct).
-        engine = SweepEngine(_quick_config(refs=("basefs/filesystem.py:687",), ops=("commit",)))
+        # commit's ordered-data submission in basefs/filesystem.py
+        # enqueues into blk-mq; no device call happens while the line is
+        # live — the sweep must report it unreached (and the sanctions
+        # table argues why that is correct).  The ref comes from the
+        # committed catalogue, so sanctions.py holds the only literal.
+        (submission,) = [
+            pair.ref
+            for pair in iter_pairs(load_surface(SURFACE, check_drift=False))
+            if pair.op == "commit" and pair.kind == "data-write" and pair.path == "basefs/filesystem.py"
+        ]
+        engine = SweepEngine(_quick_config(refs=(submission,), ops=("commit",)))
         cases = engine.build_cases(engine.load_pairs())
         result = engine.run_case(cases[0])
         assert not result.fired
         assert result.outcome == OUTCOME_UNREACHED
-        assert sanction_for("commit", "basefs/filesystem.py:687", cases[0].crash_kind)
+        assert sanction_for("commit", submission, cases[0].crash_kind)
 
 
 class TestDeterminism:
