@@ -8,6 +8,7 @@ measures throughput on a cache-friendly workload, quantifying how far a
 "de-optimized base" drifts toward shadow territory.
 """
 
+import random
 import time
 
 from repro.basefs.filesystem import BaseFilesystem
@@ -90,3 +91,65 @@ def test_readahead_ablation(benchmark):
     # Read-ahead must not hurt; in this in-memory model the win is small
     # (no seek latency), so the assertion is directional only.
     assert with_ra > without * 0.7
+
+
+HOT_PAGES = 64
+CLEAN_PAGES = 4000
+COMMIT_COST_ROUNDS = 15
+# A ratio of two times from one process, so it does not depend on the
+# machine.  Measured 1.53-1.58 over twelve best-of-15 repetitions, and
+# 2.73-2.82 when write-back sorted every cached key; what is left is the
+# one pass over the cache that picks the dirty pages.  The budget leaves
+# headroom for a noisy runner and still fails the sort-everything commit.
+COMMIT_COST_BUDGET = 2.0
+
+
+def test_commit_cost_follows_dirty_pages(benchmark):
+    """A commit of 64 dirty pages with ~4 000 clean pages cached costs
+    about what the same commit costs with only those 64 cached: write-back
+    pays for what it writes, not for what the page cache holds."""
+    from repro.api import OpenFlags
+
+    def mounted(clean_pages: int) -> tuple[BaseFilesystem, int]:
+        fs = BaseFilesystem(make_device(16384))
+        hot = fs.open("/hot", OpenFlags.CREAT, opseq=1)
+        fs.write(hot, b"h" * (HOT_PAGES * 4096), opseq=2)
+        cold = fs.open("/cold", OpenFlags.CREAT, opseq=3)
+        fs.write(cold, b"c" * (clean_pages * 4096), opseq=4)
+        fs.commit()
+        fs.page_cache.drop_all()
+        # Cached in random order, as a cold-data workload's LRU holds them.
+        for logical in random.Random(7).sample(range(clean_pages), clean_pages):
+            fs.lseek(cold, logical * 4096, 0, opseq=5)
+            fs.read(cold, 4096, opseq=5)
+        assert len(fs.page_cache) == clean_pages
+        return fs, hot
+
+    def timed_commit(fs: BaseFilesystem, hot: int) -> float:
+        fs.lseek(hot, 0, 0, opseq=6)
+        fs.write(hot, b"H" * (HOT_PAGES * 4096), opseq=7)
+        assert fs.dirty_page_count() == HOT_PAGES
+        start = time.perf_counter()
+        fs.commit()
+        return time.perf_counter() - start
+
+    crowded, crowded_hot = mounted(CLEAN_PAGES)
+    alone, alone_hot = mounted(0)
+    benchmark.pedantic(timed_commit, args=(crowded, crowded_hot), rounds=3, iterations=1)
+    # min is the noise-robust estimator; the two sides alternate so
+    # machine drift hits both alike.
+    runs = [(timed_commit(crowded, crowded_hot), timed_commit(alone, alone_hot)) for _ in range(COMMIT_COST_ROUNDS)]
+    with_clean = min(run[0] for run in runs)
+    without = min(run[1] for run in runs)
+    ratio = with_clean / without
+    print_banner(f"Commit of {HOT_PAGES} dirty pages vs clean pages cached (best of {COMMIT_COST_ROUNDS})")
+    print(
+        format_table(
+            ["pages cached", "seconds", "relative"],
+            [[HOT_PAGES, without, 1.0], [CLEAN_PAGES + HOT_PAGES, with_clean, ratio]],
+        )
+    )
+    assert ratio <= COMMIT_COST_BUDGET, (
+        f"a {HOT_PAGES}-page commit costs {ratio:.2f}x more with {CLEAN_PAGES} clean pages cached "
+        f"(budget {COMMIT_COST_BUDGET}x): write-back should sort only the pages it writes"
+    )

@@ -60,7 +60,7 @@ from repro.ondisk.inode import (
 )
 from repro.ondisk.layout import BLOCK_SIZE, INODE_SIZE, ROOT_INO
 from repro.ondisk.journal import replay_journal, reset_journal
-from repro.ondisk.mapping import BlockMapReader, pack_pointers, unpack_pointers
+from repro.ondisk.mapping import BlockMapReader, pack_pointers, pointer_at, unpack_pointers, with_pointer
 from repro.ondisk.superblock import STATE_CLEAN, STATE_DIRTY, Superblock
 
 MAX_SYMLINK_TARGET = BLOCK_SIZE - 1
@@ -459,11 +459,10 @@ class BaseFilesystem(FilesystemAPI):
             if not inode.indirect:
                 inode.indirect = self._alloc_pointer_block(slot, ("ind",), charge_reservation)
                 self._dirty(slot)
-            pointers = unpack_pointers(self.cache.read(inode.indirect))
-            if pointers[index]:
+            single = self.cache.read(inode.indirect)
+            if pointer_at(single, index):
                 raise InvariantViolation(f"remap of mapped block {logical} in ino {slot.ino}", check="remap")
-            pointers[index] = physical
-            self._meta_write(inode.indirect, pack_pointers(pointers), role="indirect")
+            self._meta_write(inode.indirect, with_pointer(single, index, physical), role="indirect")
             return
         index -= PTRS_PER_BLOCK
         if index >= PTRS_PER_BLOCK * PTRS_PER_BLOCK:
@@ -472,15 +471,15 @@ class BaseFilesystem(FilesystemAPI):
         if not inode.double_indirect:
             inode.double_indirect = self._alloc_pointer_block(slot, ("dbl",), charge_reservation)
             self._dirty(slot)
-        outer = unpack_pointers(self.cache.read(inode.double_indirect))
-        if not outer[outer_index]:
-            outer[outer_index] = self._alloc_pointer_block(slot, ("dbl", outer_index), charge_reservation)
-            self._meta_write(inode.double_indirect, pack_pointers(outer), role="indirect")
-        inner = unpack_pointers(self.cache.read(outer[outer_index]))
-        if inner[inner_index]:
+        outer = self.cache.read(inode.double_indirect)
+        inner_block = pointer_at(outer, outer_index)
+        if not inner_block:
+            inner_block = self._alloc_pointer_block(slot, ("dbl", outer_index), charge_reservation)
+            self._meta_write(inode.double_indirect, with_pointer(outer, outer_index, inner_block), role="indirect")
+        inner = self.cache.read(inner_block)
+        if pointer_at(inner, inner_index):
             raise InvariantViolation(f"remap of mapped block {logical} in ino {slot.ino}", check="remap")
-        inner[inner_index] = physical
-        self._meta_write(outer[outer_index], pack_pointers(inner), role="indirect")
+        self._meta_write(inner_block, with_pointer(inner, inner_index, physical), role="indirect")
 
     def _alloc_pointer_block(self, slot: CachedInode, key_suffix: tuple, charge_reservation: bool) -> int:
         key = (slot.ino,) + key_suffix
@@ -611,8 +610,7 @@ class BaseFilesystem(FilesystemAPI):
         if key[1] == "dbl":
             if not slot.inode.double_indirect:
                 return False
-            outer = unpack_pointers(self.cache.read(slot.inode.double_indirect))
-            return bool(outer[key[2]])
+            return bool(pointer_at(self.cache.read(slot.inode.double_indirect), key[2]))
         return bool(slot.inode.indirect)
 
     def _release_page_reservations(self, ino: int, from_logical: int = 0) -> None:

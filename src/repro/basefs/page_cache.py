@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.ondisk.layout import BLOCK_SIZE
 
@@ -29,6 +30,9 @@ class Page:
     logical: int
     data: bytearray
     dirty: bool = False
+
+
+_page_order = attrgetter("ino", "logical")
 
 
 @dataclass
@@ -112,8 +116,12 @@ class PageCache:
         return plan
 
     def dirty_pages(self) -> list[Page]:
-        """Dirty pages in (ino, logical) order — deterministic write-back."""
-        return [self._pages[key] for key in sorted(self._pages) if self._pages[key].dirty]
+        """Dirty pages in (ino, logical) order — deterministic write-back.
+        Only the dirty pages are sorted: the cost follows what the commit
+        writes, not what the cache holds."""
+        dirty = [page for page in self._pages.values() if page.dirty]
+        dirty.sort(key=_page_order)
+        return dirty
 
     def dirty_count(self) -> int:
         return sum(1 for page in self._pages.values() if page.dirty)
@@ -129,6 +137,14 @@ class PageCache:
         for key in victims:
             del self._pages[key]
         self._last_read.pop(ino, None)
+
+    def drop_inos(self, inos: set[int]) -> None:
+        """Drop every page of the given files in one pass (hand-off)."""
+        victims = [key for key in self._pages if key[0] in inos]
+        for key in victims:
+            del self._pages[key]
+        for ino in inos:
+            self._last_read.pop(ino, None)
 
     def detach(self) -> dict[tuple[int, int], Page]:
         """Contained reboot: hand the pages out to survive the reset."""

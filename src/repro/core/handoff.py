@@ -39,8 +39,7 @@ def download_metadata(
     forensic timeline shows *what* was handed off, not just how long it
     took."""
     try:
-        for ino in sorted(update.touched_inos):
-            fs.page_cache.drop_ino(ino)
+        fs.page_cache.drop_inos(update.touched_inos)
         fs.absorb_metadata(update.metadata_blocks, update.roles)
         # Only bitmap groups the shadow actually rewrote need re-journaling.
         dirty_block_groups = set()

@@ -2,14 +2,24 @@
 
 An inode maps logical file blocks to physical device blocks through 12
 direct pointers, a single-indirect block, and a double-indirect block.
-Reading that mapping requires device reads (of the indirect blocks), so
-the resolver takes a ``read_block`` callable: the base passes its buffer
-cache's ``read``, the shadow passes its raw synchronous device read, and
-fsck passes a read that also records reachability.  One implementation,
-three consumers — the same no-disagreement rule as the layout module.
+
+The indirect-block format is stated once, here: ``pointer_at`` reads one
+pointer in place, ``with_pointer`` returns the block with one pointer
+replaced, and ``unpack_pointers`` / ``pack_pointers`` are for the
+callers that walk a whole block (truncate, fsck reachability,
+validate-on-sync).  Every block map in the program — the base's, the
+shadow's and fsck's — reads and writes pointers through these four.
+
+``BlockMapReader`` is the shared resolver.  Reading the mapping requires
+reads of the indirect blocks, so it takes a ``read_block`` callable: the
+base passes its buffer cache's ``read``, fsck a read that also records
+reachability, the scrubber and image tools the raw device read.  The
+shadow keeps its own resolver, because it reports a corrupt mapping as
+``InvariantViolation`` and an out-of-range block as ``EFBIG`` rather
+than ``ValueError``, but it shares the pointer reader.
 
 Writing the mapping (growing files) is policy-laden and lives in each
-filesystem; only the *pure read side* is shared here.
+filesystem on top of ``with_pointer``.
 """
 
 from __future__ import annotations
@@ -22,11 +32,31 @@ from repro.ondisk.layout import BLOCK_SIZE
 
 ReadBlock = Callable[[int], bytes]
 
+_POINTER = struct.Struct("<I")
+
+
+def _check_size(block: bytes) -> None:
+    if len(block) != BLOCK_SIZE:
+        raise ValueError(f"indirect block must be {BLOCK_SIZE} bytes, got {len(block)}")
+
+
+def pointer_at(block: bytes, index: int) -> int:
+    """Pointer ``index`` (0..1023) of an indirect block, read in place."""
+    _check_size(block)
+    return _POINTER.unpack_from(block, index * 4)[0]
+
+
+def with_pointer(block: bytes, index: int, value: int) -> bytes:
+    """A copy of an indirect block with pointer ``index`` set to ``value``."""
+    _check_size(block)
+    updated = bytearray(block)
+    _POINTER.pack_into(updated, index * 4, value)
+    return bytes(updated)
+
 
 def unpack_pointers(block: bytes) -> list[int]:
     """Parse an indirect block into its 1024 u32 pointers."""
-    if len(block) != BLOCK_SIZE:
-        raise ValueError(f"indirect block must be {BLOCK_SIZE} bytes, got {len(block)}")
+    _check_size(block)
     return list(struct.unpack(f"<{PTRS_PER_BLOCK}I", block))
 
 
@@ -53,17 +83,16 @@ class BlockMapReader:
         if logical < PTRS_PER_BLOCK:
             if not inode.indirect:
                 return 0
-            return unpack_pointers(self._read(inode.indirect))[logical]
+            return pointer_at(self._read(inode.indirect), logical)
         logical -= PTRS_PER_BLOCK
         if logical < PTRS_PER_BLOCK * PTRS_PER_BLOCK:
             if not inode.double_indirect:
                 return 0
             outer_index, inner_index = divmod(logical, PTRS_PER_BLOCK)
-            outer = unpack_pointers(self._read(inode.double_indirect))
-            inner_block = outer[outer_index]
+            inner_block = pointer_at(self._read(inode.double_indirect), outer_index)
             if not inner_block:
                 return 0
-            return unpack_pointers(self._read(inner_block))[inner_index]
+            return pointer_at(self._read(inner_block), inner_index)
         raise ValueError(f"logical block {logical + N_DIRECT + PTRS_PER_BLOCK} beyond maximum file size")
 
     def iter_data_blocks(self, inode: OnDiskInode) -> Iterator[tuple[int, int]]:

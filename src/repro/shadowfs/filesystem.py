@@ -54,7 +54,7 @@ from repro.ondisk.inode import (
 )
 from repro.ondisk.journal import replay_journal
 from repro.ondisk.layout import BLOCK_SIZE, INODE_SIZE
-from repro.ondisk.mapping import pack_pointers, unpack_pointers
+from repro.ondisk.mapping import pack_pointers, pointer_at, unpack_pointers, with_pointer
 from repro.ondisk.superblock import STATE_DIRTY, Superblock
 from repro.shadowfs.checks import CheckLevel, ShadowChecks
 
@@ -336,16 +336,16 @@ class ShadowFilesystem(FilesystemAPI):
         if index < PTRS_PER_BLOCK:
             if not inode.indirect:
                 return 0
-            return unpack_pointers(self._read_block(inode.indirect))[index]
+            return pointer_at(self._read_block(inode.indirect), index)
         index -= PTRS_PER_BLOCK
         if index < PTRS_PER_BLOCK * PTRS_PER_BLOCK:
             if not inode.double_indirect:
                 return 0
             outer_index, inner_index = divmod(index, PTRS_PER_BLOCK)
-            outer = unpack_pointers(self._read_block(inode.double_indirect))
-            if not outer[outer_index]:
+            inner_block = pointer_at(self._read_block(inode.double_indirect), outer_index)
+            if not inner_block:
                 return 0
-            return unpack_pointers(self._read_block(outer[outer_index]))[inner_index]
+            return pointer_at(self._read_block(inner_block), inner_index)
         raise FsError(Errno.EFBIG, f"logical block {logical}")
 
     def _map_block(self, ref: Ref, logical: int, physical: int) -> None:
@@ -359,9 +359,8 @@ class ShadowFilesystem(FilesystemAPI):
             if not inode.indirect:
                 inode.indirect = self._alloc_pointer_block()
                 self._iput(ref)
-            pointers = unpack_pointers(self._read_block(inode.indirect))
-            pointers[index] = physical
-            self._write_block(inode.indirect, pack_pointers(pointers), role="indirect")
+            single = self._read_block(inode.indirect)
+            self._write_block(inode.indirect, with_pointer(single, index, physical), role="indirect")
             return
         index -= PTRS_PER_BLOCK
         if index >= PTRS_PER_BLOCK * PTRS_PER_BLOCK:
@@ -370,13 +369,13 @@ class ShadowFilesystem(FilesystemAPI):
         if not inode.double_indirect:
             inode.double_indirect = self._alloc_pointer_block()
             self._iput(ref)
-        outer = unpack_pointers(self._read_block(inode.double_indirect))
-        if not outer[outer_index]:
-            outer[outer_index] = self._alloc_pointer_block()
-            self._write_block(inode.double_indirect, pack_pointers(outer), role="indirect")
-        inner = unpack_pointers(self._read_block(outer[outer_index]))
-        inner[inner_index] = physical
-        self._write_block(outer[outer_index], pack_pointers(inner), role="indirect")
+        outer = self._read_block(inode.double_indirect)
+        inner_block = pointer_at(outer, outer_index)
+        if not inner_block:
+            inner_block = self._alloc_pointer_block()
+            self._write_block(inode.double_indirect, with_pointer(outer, outer_index, inner_block), role="indirect")
+        inner = self._read_block(inner_block)
+        self._write_block(inner_block, with_pointer(inner, inner_index, physical), role="indirect")
 
     def _alloc_pointer_block(self) -> int:
         block = self._alloc_block()
@@ -988,8 +987,7 @@ class ShadowFilesystem(FilesystemAPI):
     def _double_inner_present(self, inode: OnDiskInode, outer_index: int) -> bool:
         if not inode.double_indirect:
             return False
-        outer = unpack_pointers(self._read_block(inode.double_indirect))
-        return bool(outer[outer_index])
+        return bool(pointer_at(self._read_block(inode.double_indirect), outer_index))
 
     def lseek(self, fd: int, offset: int, whence: int = 0, opseq: int = 0) -> int:
         self.checks.input_op("lseek", {"fd": fd, "offset": offset, "whence": whence})

@@ -29,14 +29,14 @@ SWEEP_SANCTIONS: dict[tuple[str, str, str], str] = {
         "unreached: unmount reaches this point only through commit, and commit "
         "never submits flush requests through blk-mq (see the commit sanction)."
     ),
-    ("commit", "basefs/filesystem.py:692", _WILDCARD): (
+    ("commit", "basefs/filesystem.py:690", _WILDCARD): (
         "unreached: this is the ordered-data *submission* site — "
         "blkmq.submit_write only enqueues; no device call happens while the "
         "line is live, so there is no distinct durable state to crash into. "
         "The deferred device effect is swept as blockdev/blkmq.py:219 (the "
         "dispatch write), which covers the same data-write persistence."
     ),
-    ("unmount", "basefs/filesystem.py:692", _WILDCARD): (
+    ("unmount", "basefs/filesystem.py:690", _WILDCARD): (
         "unreached: same submission-only site as the commit sanction — "
         "unmount reaches it through commit's ordered-data phase."
     ),

@@ -4,8 +4,12 @@ These are the bodies ``DirBlock._records``/``entries``/``find``,
 ``OnDiskInode.unpack`` and ``BaseFilesystem._validate_txn`` had before
 they were rebuilt on ``walk_records``/``walk_entries``/``read_slot``:
 copy the block, parse every record into an object, look through the
-objects.  They share nothing with ``src/`` but the struct formats and
-constants, so an edit to a walker cannot move its reference with it.
+objects.  Likewise the one-pointer reads and writes every block map did
+before ``pointer_at``/``with_pointer`` (unpack all 1024 pointers, index
+or set one, pack all 1024 back), and ``PageCache.dirty_pages`` before it
+sorted only the dirty pages.  They share nothing with ``src/`` but the
+struct formats and constants, so an edit to a walker cannot move its
+reference with it.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ import struct
 
 from repro.errors import InvariantViolation
 from repro.ondisk.directory import DirEntry, entry_size
-from repro.ondisk.inode import MAX_FILE_SIZE, N_DIRECT, FileType, OnDiskInode
+from repro.ondisk.inode import MAX_FILE_SIZE, N_DIRECT, PTRS_PER_BLOCK, FileType, OnDiskInode
 from repro.ondisk.layout import BLOCK_SIZE, INODE_SIZE
-from repro.ondisk.mapping import unpack_pointers
 from repro.ondisk.superblock import Superblock
 from repro.util import checksum32
 
@@ -114,6 +117,29 @@ def reference_unpack(raw: bytes, verify: bool = True) -> OnDiskInode:
     )
 
 
+def _reference_pointers(block: bytes) -> list[int]:
+    if len(block) != BLOCK_SIZE:
+        raise ValueError(f"indirect block must be {BLOCK_SIZE} bytes, got {len(block)}")
+    return list(struct.unpack(f"<{PTRS_PER_BLOCK}I", block))
+
+
+def reference_pointer_at(block: bytes, index: int) -> int:
+    return _reference_pointers(block)[index]
+
+
+def reference_with_pointer(block: bytes, index: int, value: int) -> bytes:
+    pointers = _reference_pointers(block)
+    pointers[index] = value
+    return struct.pack(f"<{PTRS_PER_BLOCK}I", *pointers)
+
+
+def reference_dirty_pages(cache) -> list:
+    """``PageCache.dirty_pages`` as it stood at afe42a5: sort every
+    cached key, keep the dirty pages."""
+    pages = cache._pages
+    return [pages[key] for key in sorted(pages) if pages[key].dirty]
+
+
 def reference_validate_txn(fs, txn: dict[int, bytes]) -> list[str]:
     """``BaseFilesystem._validate_txn`` as it stood at d2e6415, reading
     the same filesystem state (``alloc``, ``_block_role``, ``layout``)."""
@@ -147,7 +173,7 @@ def reference_validate_txn(fs, txn: dict[int, bytes]) -> list[str]:
                     if inode.nlink > 65535:
                         problems.append(f"inode in block {block}+{offset} has nlink {inode.nlink}")
             elif role == "indirect":
-                for pointer in unpack_pointers(data):
+                for pointer in _reference_pointers(data):
                     if pointer and not 0 < pointer < fs.layout.block_count:
                         problems.append(f"indirect block {block} points at {pointer}")
         except (ValueError, InvariantViolation) as exc:

@@ -1,5 +1,7 @@
 """Tests for the base's cache components: dentry, inode, page caches."""
 
+import random
+
 import pytest
 
 from repro.basefs.dentry_cache import DentryCache
@@ -7,6 +9,7 @@ from repro.basefs.inode_cache import InodeCache
 from repro.basefs.page_cache import PageCache
 from repro.ondisk.inode import FileType, OnDiskInode, make_mode
 from repro.ondisk.layout import BLOCK_SIZE
+from tests.reference_ondisk import reference_dirty_pages
 
 
 class TestDentryCache:
@@ -166,6 +169,21 @@ class TestPageCache:
         assert cache.lookup(7, 1) is not None
         assert cache.lookup(7, 2) is None
 
+    def test_drop_inos_is_drop_ino_per_file(self):
+        rng = random.Random(5)
+        one_pass, per_file = PageCache(), PageCache()
+        for _ in range(300):
+            ino, logical = rng.randrange(1, 12), rng.randrange(30)
+            for cache in (one_pass, per_file):
+                cache.install(ino, logical, self.page(logical), dirty=logical % 3 == 0)
+                cache.readahead_plan(ino, logical, file_blocks=30)
+        victims = {2, 3, 5, 7, 11, 99}
+        one_pass.drop_inos(victims)
+        for ino in sorted(victims):
+            per_file.drop_ino(ino)
+        assert list(one_pass._pages) == list(per_file._pages)
+        assert one_pass._last_read == per_file._last_read
+
     def test_readahead_sequential_only(self):
         cache = PageCache(readahead_window=2)
         assert cache.readahead_plan(1, 0, file_blocks=10) == []  # first access
@@ -184,6 +202,34 @@ class TestPageCache:
         assert len(cache) == 0
         cache.attach(pages)
         assert cache.lookup(1, 0) is not None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dirty_pages_match_the_sort_everything_reference(self, seed):
+        """Same page objects in the same order as sorting every cached
+        key, across installs, overwrites, cleaning, eviction, drops and a
+        contained reboot's detach/attach."""
+        rng = random.Random(seed)
+        cache = PageCache(capacity_pages=rng.choice([16, 64, 4096]))
+        for _step in range(400):
+            ino, logical = rng.randrange(1, 9), rng.randrange(40)
+            action = rng.choices(
+                ["install", "lookup", "mark_clean", "drop_ino", "drop_inos", "reboot"], weights=[60, 15, 15, 4, 2, 4]
+            )[0]
+            if action == "install":
+                cache.install(ino, logical, self.page(rng.randrange(256)), dirty=rng.random() < 0.5)
+            elif action == "lookup":
+                cache.lookup(ino, logical)
+            elif action == "mark_clean":
+                cache.mark_clean(ino, logical)
+            elif action == "drop_ino":
+                cache.drop_ino(ino, from_logical=rng.choice([0, logical]))
+            elif action == "drop_inos":
+                cache.drop_inos({ino, rng.randrange(1, 9)})
+            else:
+                cache.attach(cache.detach())
+            dirty = cache.dirty_pages()
+            expected = reference_dirty_pages(cache)
+            assert [id(page) for page in dirty] == [id(page) for page in expected]
 
     def test_rejects_bad_page_size(self):
         cache = PageCache()

@@ -1,11 +1,15 @@
 """Tests for repro.ondisk.mapping."""
 
+import random
+import struct
+
 import pytest
 
 from repro.blockdev.device import MemoryBlockDevice
 from repro.ondisk.inode import N_DIRECT, OnDiskInode, PTRS_PER_BLOCK
 from repro.ondisk.layout import BLOCK_SIZE
-from repro.ondisk.mapping import BlockMapReader, pack_pointers, unpack_pointers
+from repro.ondisk.mapping import BlockMapReader, pack_pointers, pointer_at, unpack_pointers, with_pointer
+from tests.reference_ondisk import outcome, reference_pointer_at, reference_with_pointer
 
 
 @pytest.fixture
@@ -28,6 +32,44 @@ def test_pack_validates_length():
         pack_pointers([1, 2, 3])
     with pytest.raises(ValueError):
         unpack_pointers(b"short")
+
+
+def _random_block(rng: random.Random) -> bytes:
+    """Pointers of every width, holes included."""
+    return struct.pack(
+        f"<{PTRS_PER_BLOCK}I",
+        *(rng.choice([0, rng.randrange(1, 1 << 16), rng.randrange(1 << 32)]) for _ in range(PTRS_PER_BLOCK)),
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_pointer_access_matches_the_whole_block_reference(seed):
+    rng = random.Random(seed)
+    block = _random_block(rng)
+    for index in [0, PTRS_PER_BLOCK - 1] + [rng.randrange(PTRS_PER_BLOCK) for _ in range(16)]:
+        assert pointer_at(block, index) == reference_pointer_at(block, index) == unpack_pointers(block)[index]
+        value = rng.choice([0, rng.randrange(1 << 32)])
+        updated = with_pointer(block, index, value)
+        assert type(updated) is bytes
+        assert updated == reference_with_pointer(block, index, value)
+        assert pointer_at(updated, index) == value
+    # Any bytes-like view of the block reads and rewrites the same.
+    for view in (bytearray(block), memoryview(block)):
+        assert pointer_at(view, PTRS_PER_BLOCK - 1) == reference_pointer_at(block, PTRS_PER_BLOCK - 1)
+        assert with_pointer(view, 0, 7) == reference_with_pointer(block, 0, 7)
+
+
+@pytest.mark.parametrize("size", [0, 4, BLOCK_SIZE - 1, BLOCK_SIZE + 4])
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_wrong_sized_indirect_block_is_a_value_error(size, kind):
+    # ReplayEngine.run turns ValueError (not struct.error, which would
+    # escape outcome()) into a RecoveryFailure, so a short read must
+    # surface as one, worded as the whole-block parser words it.
+    block = kind(bytes(size))
+    expected = outcome(reference_pointer_at, block, 0)
+    assert expected.startswith("ValueError: ")
+    assert outcome(pointer_at, block, 0) == expected
+    assert outcome(with_pointer, block, 0, 1) == outcome(reference_with_pointer, block, 0, 1) == expected
 
 
 def test_resolve_direct(device):

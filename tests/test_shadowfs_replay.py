@@ -2,6 +2,7 @@
 cross-checking, fd registry install, fsync skipping."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from repro.basefs.vfs import FdState
 from repro.core.oplog import OpLog
 from repro.errors import CrossCheckMismatch, Errno, RecoveryFailure
 from repro.ondisk.image import clone_to_memory
+from repro.ondisk.inode import N_DIRECT, PTRS_PER_BLOCK
+from repro.ondisk.layout import BLOCK_SIZE
 from repro.shadowfs.checks import CheckLevel
 from repro.shadowfs.filesystem import ShadowFilesystem
 from repro.shadowfs.replay import ReplayEngine
@@ -228,3 +231,65 @@ def test_replay_of_a_seeded_window_is_pinned(level):
     assert update_digest(update) == PINNED_UPDATE_DIGEST
     assert shadow.checks.stats.by_name == PINNED_CHECKS[level]
     assert shadow.checks.stats.checks_run == sum(PINNED_CHECKS[level].values())
+
+
+# The window above never reaches a file's 13th block, so it reads no
+# indirect pointer.  This one works files whose single- and
+# double-indirect blocks are on disk at S0: the shadow resolves, maps and
+# truncates through them.  Recorded on commit afe42a5, before block maps
+# read one pointer in place.
+
+DOUBLE_START = N_DIRECT + PTRS_PER_BLOCK
+PINNED_INDIRECT_DIGEST = "4a87c08b7469cec8562149e3c428a2a048c605969687126bd9c1bd6e9ca30164"
+PINNED_INDIRECT_CHECKS = {
+    CheckLevel.FULL: {
+        "block-allocated": 35, "block-pointer": 406, "dir-block": 22, "ino-allocated": 163,
+        "inode": 163, "input-op": 142, "superblock": 1, "superblock-counts": 1,
+    },
+    CheckLevel.BASIC: {"block-pointer": 406, "dir-block": 22, "inode": 163, "input-op": 142, "superblock": 1},
+    CheckLevel.OFF: {},
+}
+
+
+def indirect_window(seed: int = 2612):
+    """An image holding a sparse file mapped through both indirect trees,
+    and a seeded window of writes, reads and truncates around their
+    boundaries."""
+    device = formatted_device(block_count=16384)
+    base = BaseFilesystem(device)
+    fd = base.open("/big", OpenFlags.CREAT, opseq=1)
+    for logical in (0, N_DIRECT, N_DIRECT + 5, DOUBLE_START - 1, DOUBLE_START, DOUBLE_START + PTRS_PER_BLOCK + 7):
+        base.lseek(fd, logical * BLOCK_SIZE, 0, opseq=2)
+        base.write(fd, bytes([logical % 251]) * BLOCK_SIZE, opseq=3)
+    base.close(fd, opseq=4)
+    base.unmount()
+
+    rng = random.Random(seed)
+    pool = [0, N_DIRECT - 1, N_DIRECT, N_DIRECT + 5, N_DIRECT + 700, DOUBLE_START - 1, DOUBLE_START,
+            DOUBLE_START + 3, DOUBLE_START + PTRS_PER_BLOCK + 7, DOUBLE_START + 3 * PTRS_PER_BLOCK]
+    window = [op("open", path="/big", flags=0), op("open", path="/grow", flags=int(OpenFlags.CREAT))]
+    for _ in range(80):
+        fd, path = rng.choice([(3, "/big"), (4, "/grow")])
+        kind = rng.choice(["write", "write", "read", "truncate"])
+        if kind == "truncate":
+            window.append(op("truncate", path=path, size=rng.choice(pool) * BLOCK_SIZE + rng.randrange(BLOCK_SIZE)))
+            continue
+        window.append(op("lseek", fd=fd, offset=rng.choice(pool) * BLOCK_SIZE + rng.randrange(64), whence=0))
+        if kind == "write":
+            window.append(op("write", fd=fd, data=rng.randbytes(rng.randint(1, 2 * BLOCK_SIZE))))
+        else:
+            window.append(op("read", fd=fd, length=rng.randint(1, 2 * BLOCK_SIZE)))
+    return device, window
+
+
+@pytest.mark.parametrize("level", list(PINNED_INDIRECT_CHECKS), ids=lambda level: level.name)
+def test_replay_of_an_indirect_window_is_pinned(level):
+    device, window = indirect_window()
+    _base, log, image_s0 = record_on_base(window, device)
+    shadow = ShadowFilesystem(image_s0, check_level=level)
+    engine = ReplayEngine(shadow, strict=True)
+    update = engine.run(log.entries, {}, None)
+    assert engine.report.clean and engine.report.constrained_ops == len(log.entries) == 142
+    assert "indirect" in update.roles.values()
+    assert update_digest(update) == PINNED_INDIRECT_DIGEST
+    assert shadow.checks.stats.by_name == PINNED_INDIRECT_CHECKS[level]
