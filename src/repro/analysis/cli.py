@@ -23,7 +23,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis.concurrency import ConcurrencyConfigError
 from repro.analysis.engine import Analyzer
 from repro.analysis.findings import Finding
 from repro.analysis.persistence import PersistenceConfigError
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RULE[,RULE...]",
         help="run only the named rules; each token is a rule id or a "
-        "family name (core, contracts, concurrency, persistence) "
+        f"family name ({', '.join(rule_families())}) "
         "selecting every rule in it (comma-separated)",
     )
     parser.add_argument(
@@ -270,15 +269,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = Analyzer(root, rules=rules, only_paths=only_paths).run()
-    except (ConcurrencyConfigError, PersistenceConfigError) as error:
-        # A spec/concurrency.py or spec/persistence.py declaration that
-        # cannot bind is a broken configuration, not a finding: report
-        # it like a bad --select.
-        family = {
-            PersistenceConfigError: "persistence",
-            ConcurrencyConfigError: "concurrency",
-        }[type(error)]
-        print(f"raelint: {family} spec error: {error}", file=sys.stderr)
+    except PersistenceConfigError as error:
+        # A spec/persistence.py declaration that cannot bind is a broken
+        # configuration, not a finding: report it like a bad --select.
+        print(f"raelint: persistence spec error: {error}", file=sys.stderr)
         return 2
 
     if args.format == "github":

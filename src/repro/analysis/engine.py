@@ -97,9 +97,9 @@ class ParsedModule:
 class RuleContext:
     """Shared, memoized analysis artifacts for one analyzer run.
 
-    The flow, contract, and concurrency rule families all want the same
+    The flow, contract, and persistence rule families all want the same
     expensive intermediates — per-function CFGs, the project call graph,
-    interprocedural summaries, the shared-state model.  Before this
+    interprocedural summaries, the persistence model.  Before this
     existed every rule rebuilt its own CFGs, so one ``make lint`` built
     each function's graph up to five times.  The :class:`Analyzer` now
     creates one context per run and installs it on every rule; rules
@@ -112,8 +112,8 @@ class RuleContext:
       (identity), matching how the engine hands the same sequence to
       every project rule.
     * :attr:`shared` is an open store for rule families to stash
-      heavier derived artifacts (contract summaries, the concurrency
-      shared-state model) under family-chosen keys.
+      heavier derived artifacts (contract summaries, the persistence
+      model) under family-chosen keys.
     """
 
     def __init__(self) -> None:
@@ -149,9 +149,9 @@ class Rule:
     rule_id: str = ""
     severity: Severity = Severity.ERROR
     description: str = ""
-    #: Rule family (``core``, ``contracts``, ``concurrency``,
-    #: ``persistence``): ``--select`` accepts a family name as shorthand
-    #: for every rule in it.
+    #: Rule family (``core``, ``contracts``, ``persistence``):
+    #: ``--select`` accepts a family name as shorthand for every rule in
+    #: it.
     family: str = "core"
     _context: RuleContext | None = None
 

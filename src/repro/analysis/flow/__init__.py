@@ -6,7 +6,7 @@ Three building blocks, composed by the flow rules in
 * :mod:`repro.analysis.flow.cfg` — intraprocedural CFGs with
   first-class exceptional edges;
 * :mod:`repro.analysis.flow.dataflow` — a generic worklist solver plus
-  the lockset / marker-domination domains;
+  the lockset / release-on-all-paths domains;
 * :mod:`repro.analysis.flow.callgraph` — a best-effort project call
   graph with transitive-reachability queries.
 """
@@ -16,7 +16,6 @@ from repro.analysis.flow.cfg import CFG, CFGNode, build_cfg, function_defs
 from repro.analysis.flow.dataflow import (
     BACKWARD,
     FORWARD,
-    CallMarkerAnalysis,
     DataflowAnalysis,
     GenKillAnalysis,
     LocksetAnalysis,
@@ -30,7 +29,6 @@ __all__ = [
     "CFG",
     "CFGNode",
     "CallGraph",
-    "CallMarkerAnalysis",
     "DataflowAnalysis",
     "DefInfo",
     "FORWARD",

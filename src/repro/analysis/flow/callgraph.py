@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.analysis.engine import ParsedModule
 
@@ -486,31 +486,6 @@ class CallGraph:
 
     # ------------------------------------------------------------------
     # queries
-
-    def defs_where(self, predicate: Callable[[DefInfo], bool]) -> list[DefInfo]:
-        return [info for info in self.defs.values() if predicate(info)]
-
-    def local_types(self, key: str) -> dict[str, str]:
-        """Public view of the per-def local type environment (parameter
-        annotations, constructor assignments, typed loop targets) — the
-        concurrency shared-state model resolves attribute receivers
-        through it."""
-        return self._local_types(self.defs[key])
-
-    def expr_class(
-        self, key: str, expr: ast.expr, locals_types: dict[str, str] | None = None
-    ) -> str | None:
-        """Best-effort class key of ``expr`` evaluated inside def ``key``.
-        Pass a cached :meth:`local_types` result when resolving many
-        expressions of the same def."""
-        info = self.defs[key]
-        if locals_types is None:
-            locals_types = self._local_types(info)
-        return self._type_of(info, expr, locals_types)
-
-    def resolve_method(self, class_key: str, name: str) -> str | None:
-        """Public method lookup through a class and its bases."""
-        return self._method_in_class(class_key, name)
 
     def call_edges(self, key: str) -> list[tuple[ast.Call, list[str]]]:
         """Per-call-site resolution for ``key``: every call expression in

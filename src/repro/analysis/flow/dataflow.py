@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Callable, Generic, Hashable, TypeVar
+from typing import Generic, Hashable, TypeVar
 
 from repro.analysis.flow.cfg import CFG, CFGNode
 
@@ -216,31 +216,6 @@ class LocksetAnalysis(DataflowAnalysis[frozenset]):
         for call in ordered_calls(node.payload):
             value = apply_lock_call(value, call)
         return value
-
-
-class CallMarkerAnalysis(DataflowAnalysis[bool]):
-    """Forward must-analysis: "has a marker call definitely executed on
-    *every* path from entry to here?"  JOURNAL-BEFORE-WRITE instantiates
-    this with journal commit/append markers."""
-
-    direction = FORWARD
-
-    def __init__(self, is_marker: Callable[[ast.Call], bool]):
-        self.is_marker = is_marker
-
-    def boundary(self) -> bool:
-        return False
-
-    def initial(self) -> bool:
-        return True  # optimistic top; AND-join erodes it
-
-    def join(self, a: bool, b: bool) -> bool:
-        return a and b
-
-    def transfer(self, node: CFGNode, value: bool) -> bool:
-        if value:
-            return True
-        return any(self.is_marker(call) for call in ordered_calls(node.payload))
 
 
 class ReleaseOnAllPathsAnalysis(DataflowAnalysis[bool]):

@@ -1,6 +1,6 @@
 """Extraction of the declared persistence spec from the analyzed tree.
 
-Like the contract and concurrency families, the persistence rules
+Like the contract family, the persistence rules
 *parse* their declarations out of the tree (``spec/persistence.py``)
 rather than importing the runtime module, so they work on the synthetic
 fixture trees the test suite builds under ``tmp_path`` and are silent on

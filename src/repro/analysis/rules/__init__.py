@@ -8,19 +8,16 @@ from __future__ import annotations
 
 from repro.analysis.engine import Rule
 from repro.analysis.rules.api_parity import ApiParityRule
-from repro.analysis.rules.atomic_rmw import AtomicRmwRule
 from repro.analysis.rules.crash_hook_coverage import CrashHookCoverageRule
 from repro.analysis.rules.effect_contract import EffectContractRule
 from repro.analysis.rules.flush_barrier import FlushBarrierRule
 from repro.analysis.rules.errno_discipline import ErrnoDisciplineRule
 from repro.analysis.rules.errno_parity import ErrnoParityRule
 from repro.analysis.rules.hook_registry import HookRegistryRule
-from repro.analysis.rules.journal_before_write import JournalBeforeWriteRule
 from repro.analysis.rules.lock_order import LockOrderRule
 from repro.analysis.rules.lock_release import LockReleaseRule
 from repro.analysis.rules.oplog_coverage import OplogCoverageRule
 from repro.analysis.rules.persist_order import PersistOrderRule
-from repro.analysis.rules.race_lockset import RaceLocksetRule
 from repro.analysis.rules.replay_determinism import ReplayDeterminismRule
 from repro.analysis.rules.shadow_purity import ShadowPurityRule
 from repro.analysis.rules.shadow_reach import ShadowReachRule
@@ -32,7 +29,6 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     OplogCoverageRule,
     LockReleaseRule,
     LockOrderRule,
-    JournalBeforeWriteRule,
     ReplayDeterminismRule,
     ErrnoDisciplineRule,
     HookRegistryRule,
@@ -40,8 +36,6 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     EffectContractRule,
     ApiParityRule,
     StateProtocolRule,
-    RaceLocksetRule,
-    AtomicRmwRule,
     FlushBarrierRule,
     PersistOrderRule,
     CrashHookCoverageRule,
@@ -71,7 +65,6 @@ __all__ = [
     "OplogCoverageRule",
     "LockReleaseRule",
     "LockOrderRule",
-    "JournalBeforeWriteRule",
     "ReplayDeterminismRule",
     "ErrnoDisciplineRule",
     "HookRegistryRule",
@@ -79,8 +72,6 @@ __all__ = [
     "EffectContractRule",
     "ApiParityRule",
     "StateProtocolRule",
-    "RaceLocksetRule",
-    "AtomicRmwRule",
     "FlushBarrierRule",
     "PersistOrderRule",
     "CrashHookCoverageRule",

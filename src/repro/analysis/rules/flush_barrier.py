@@ -9,10 +9,9 @@ is exactly the reordering window Chipmunk-style crash-consistency
 studies catalog: crash inside it and recovery replays a half-applied
 transaction or none at all, with the home location already mutated.
 
-This is the interprocedural, barrier-aware generalization of
-JOURNAL-BEFORE-WRITE: that rule asks "is this device write dominated by
-a journal commit *call*"; this one tracks the *pending unflushed commit
-record* through the persistence model's composed summaries
+The check is interprocedural and barrier-aware: it tracks the *pending
+unflushed commit record* through the persistence model's composed
+summaries
 (:mod:`repro.analysis.persistence.model`), so a commit record written
 three calls deep (``JournalWriter.append``) and sealed by its own flush
 makes the caller's writeback provably safe — and deleting that one

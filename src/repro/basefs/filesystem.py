@@ -131,7 +131,7 @@ class BaseFilesystem(FilesystemAPI):
         # The mount stamp is deliberately outside the journal: flipping the
         # superblock to DIRTY is what makes the journal authoritative in the
         # first place, and replay is idempotent with respect to it.
-        device.write_block(0, sb.pack())  # raelint: disable=JOURNAL-BEFORE-WRITE
+        device.write_block(0, sb.pack())
         device.flush()
         self.sb = sb
 
@@ -687,7 +687,7 @@ class BaseFilesystem(FilesystemAPI):
             # commit on purpose, so the journaled metadata never references
             # unwritten data.  Data blocks are not journal-covered (§JBD2
             # ordered); the commit that follows in phase 4 seals them.
-            self.blkmq.submit_write(physical, bytes(page.data))  # raelint: disable=JOURNAL-BEFORE-WRITE
+            self.blkmq.submit_write(physical, bytes(page.data))
             self.hooks.fire("blkmq.submit", op="write", block=physical)
             self.stats.data_writes += 1
             self.page_cache.mark_clean(page.ino, page.logical)

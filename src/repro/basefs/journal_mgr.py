@@ -136,7 +136,7 @@ class JournalManager:
         # least once (`if not txn: return` guards the empty case), but that
         # loop bound is invisible to the intraprocedural must-analysis.
         for block in blocks:
-            cache.writeback(block)  # raelint: disable=JOURNAL-BEFORE-WRITE
+            cache.writeback(block)
         self.device.flush()
         # The journal region is reclaimed lazily: the next commit that does
         # not fit triggers a reset, which is safe because home writes always

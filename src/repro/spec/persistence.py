@@ -12,8 +12,8 @@ statically as a typestate rather than discovered by crash testing
 
 raelint's persistence rules (FLUSH-BARRIER, PERSIST-ORDER and
 CRASH-HOOK-COVERAGE, see ``docs/STATIC_ANALYSIS.md``) extract this file
-from its AST, exactly like ``OP_CONTRACTS`` and ``GUARDED_BY``: every
-table must stay a pure literal.  A declaration that names a function
+from its AST, exactly like ``OP_CONTRACTS``: every table must stay a
+pure literal.  A declaration that names a function
 that does not exist in the tree — or a stale sanction for a point that
 is now hook-covered — is a configuration error (raelint exits 2), not a
 finding: a protocol that cannot bind checks nothing, and silently

@@ -1,6 +1,6 @@
 """Tests for the raeflow layer: CFG builder, dataflow solver, call graph,
-and the four flow rules (SHADOW-REACH, REPLAY-DETERMINISM, LOCK-ORDER,
-JOURNAL-BEFORE-WRITE) plus the CFG-upgraded LOCK-RELEASE."""
+and the three flow rules (SHADOW-REACH, REPLAY-DETERMINISM, LOCK-ORDER)
+plus the CFG-upgraded LOCK-RELEASE."""
 
 import ast
 import textwrap
@@ -13,13 +13,13 @@ from repro.analysis.flow.cfg import build_cfg, function_defs
 from repro.analysis.flow.dataflow import (
     BACKWARD,
     FORWARD,
-    CallMarkerAnalysis,
+    DataflowAnalysis,
     GenKillAnalysis,
     LocksetAnalysis,
     ReleaseOnAllPathsAnalysis,
+    ordered_calls,
     solve,
 )
-from repro.analysis.rules.journal_before_write import JournalBeforeWriteRule
 from repro.analysis.rules.lock_order import LockOrderRule
 from repro.analysis.rules.lock_release import LockReleaseRule
 from repro.analysis.rules.replay_determinism import ReplayDeterminismRule
@@ -219,6 +219,28 @@ class _ReachingMarks(GenKillAnalysis):
         return frozenset(out)
 
 
+class _CommitOnAllPaths(DataflowAnalysis[bool]):
+    """Forward must-analysis: has a ``.commit(...)`` call executed on
+    *every* path from entry to here?  Boolean lattice, AND-join."""
+
+    direction = FORWARD
+
+    def boundary(self):
+        return False
+
+    def initial(self):
+        return True  # optimistic top; the AND-join erodes it
+
+    def join(self, a, b):
+        return a and b
+
+    def transfer(self, node, value):
+        return value or any(
+            isinstance(call.func, ast.Attribute) and call.func.attr == "commit"
+            for call in ordered_calls(node.payload)
+        )
+
+
 class TestDataflowSolver:
     def test_forward_may_union_at_join(self):
         func, cfg = cfg_of("""
@@ -240,11 +262,7 @@ class TestDataflowSolver:
                     journal.commit(1)
                 sink()
         """)
-
-        def is_commit(call):
-            return isinstance(call.func, ast.Attribute) and call.func.attr == "commit"
-
-        values = solve(cfg, CallMarkerAnalysis(is_commit))
+        values = solve(cfg, _CommitOnAllPaths())
         sink = stmt_node(cfg, func, "sink()")
         assert values[sink.index].before is False  # the else path skips the commit
 
@@ -254,11 +272,7 @@ class TestDataflowSolver:
                 journal.commit(1)
                 sink()
         """)
-
-        def is_commit(call):
-            return isinstance(call.func, ast.Attribute) and call.func.attr == "commit"
-
-        values = solve(cfg, CallMarkerAnalysis(is_commit))
+        values = solve(cfg, _CommitOnAllPaths())
         assert values[stmt_node(cfg, func, "sink()").index].before is True
 
     def test_backward_release_on_all_paths(self):
@@ -764,68 +778,6 @@ class TestLockOrder:
             """,
         }
         assert findings_of(LockOrderRule(), files) == []
-
-
-# ---------------------------------------------------------------------------
-# JOURNAL-BEFORE-WRITE
-
-
-class TestJournalBeforeWrite:
-    def test_unjournaled_write_is_flagged(self):
-        files = {
-            "basefs/filesystem.py": """
-                class Fs:
-                    def sync(self):
-                        self.device.write_block(7, b"data")
-            """,
-        }
-        findings = findings_of(JournalBeforeWriteRule(), files)
-        assert [f.rule_id for f in findings] == ["JOURNAL-BEFORE-WRITE"]
-        assert "write_block" in findings[0].message
-
-    def test_commit_dominates_write_passes(self):
-        files = {
-            "basefs/filesystem.py": """
-                class Fs:
-                    def sync(self):
-                        self.journal.commit(self._txn())
-                        self.device.write_block(7, b"data")
-            """,
-        }
-        assert findings_of(JournalBeforeWriteRule(), files) == []
-
-    def test_commit_on_one_branch_only_is_flagged(self):
-        files = {
-            "basefs/filesystem.py": """
-                class Fs:
-                    def sync(self, fast):
-                        if not fast:
-                            self.journal.commit(self._txn())
-                        self.device.write_block(7, b"data")
-            """,
-        }
-        findings = findings_of(JournalBeforeWriteRule(), files)
-        assert [f.rule_id for f in findings] == ["JOURNAL-BEFORE-WRITE"]
-
-    def test_writer_append_counts_as_marker(self):
-        files = {
-            "basefs/journal_mgr.py": """
-                class JournalManager:
-                    def commit_one(self, txn, cache):
-                        self.writer.append(txn)
-                        cache.writeback(3)
-            """,
-        }
-        assert findings_of(JournalBeforeWriteRule(), files) == []
-
-    def test_rule_is_scoped_to_basefs(self):
-        files = {
-            "ondisk/journal.py": """
-                def reset_journal(device):
-                    device.write_block(1, b"jsb")
-            """,
-        }
-        assert findings_of(JournalBeforeWriteRule(), files) == []
 
 
 # ---------------------------------------------------------------------------

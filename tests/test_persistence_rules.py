@@ -1,17 +1,19 @@
 """The persistence rule family on seeded synthetic trees.
 
-Mutation-style validation, mirroring test_concurrency_rules: every rule
-fires on at least two distinct seeded crash-consistency bugs with the
-right file/line witness, stays silent on the clean twin, and the
-declared-spec machinery (durability protocols, write-site roles,
-sanctions, config errors) behaves per docs/STATIC_ANALYSIS.md.  The
-crash-surface catalog tests pin the committed ``crashpoints.json`` to
-what the tree actually contains.
+Mutation-style validation: every rule fires on at least two distinct
+seeded crash-consistency bugs with the right file/line witness, stays
+silent on the clean twin, and the declared-spec machinery (durability
+protocols, write-site roles, sanctions, config errors) behaves per
+docs/STATIC_ANALYSIS.md.  Unjournaled writes seeded into a copy of the
+real tree are caught by the family as a whole.  The crash-surface
+catalog tests pin the committed ``crashpoints.json`` to what the tree
+actually contains.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import textwrap
 from pathlib import Path
@@ -681,3 +683,55 @@ class TestRealTree:
         assert model.points
         assert {"commit", "mount", "journal-recover", "mkfs"} <= set(model.entries)
         assert model.violations == []
+
+
+# ---------------------------------------------------------------------------
+# unjournaled writes seeded into a copy of the real tree
+
+
+def _seeded_copy(tmp_path: Path, anchor: str, insertion: str) -> tuple[Path, int]:
+    """Copy ``src/repro`` and insert ``insertion`` right after the one
+    occurrence of ``anchor`` in ``basefs/filesystem.py``; returns the
+    copy's root and the inserted line's number."""
+    root = tmp_path / "repro"
+    shutil.copytree(REPO / "src" / "repro", root, ignore=shutil.ignore_patterns("__pycache__"))
+    target = root / "basefs" / "filesystem.py"
+    head, tail = target.read_text().split(anchor)
+    target.write_text(head + anchor + insertion + tail)
+    return root, (head + anchor).count("\n") + 1
+
+
+def _persistence_findings(root: Path, capsys) -> list[tuple[str, str, int]]:
+    code = raelint_main([
+        str(root), "--select", "persistence", "--fail-on-findings", "--format=json",
+    ])
+    findings = json.loads(capsys.readouterr().out)["findings"]
+    assert code == (1 if findings else 0)
+    return [(f["rule"], f["path"], f["line"]) for f in findings]
+
+
+class TestSeededUnjournaledWrites:
+    def test_home_write_before_the_commit_record_breaks_the_protocol(self, tmp_path, capsys):
+        # A checkpoint between BaseFilesystem.commit's ordered-data flush
+        # and its journal commit: the declared protocol has no room for it.
+        root, line = _seeded_copy(
+            tmp_path,
+            "                raise request.error\n        self.device.flush()\n",
+            "        self.cache.writeback(5)\n",
+        )
+        assert _persistence_findings(root, capsys) == [
+            ("PERSIST-ORDER", "basefs/filesystem.py", line),
+        ]
+
+    def test_device_write_in_an_unhooked_op_is_uncoverable(self, tmp_path, capsys):
+        # A raw write inside unlink, which fires no fault-injection hook:
+        # the crash sweep could never interrupt it.
+        root, line = _seeded_copy(
+            tmp_path,
+            "            self.dentry_cache.invalidate(parent.ino, name)\n"
+            "            child.inode.nlink -= 1\n",
+            '            self.device.write_block(7, b"x")\n',
+        )
+        assert _persistence_findings(root, capsys) == [
+            ("CRASH-HOOK-COVERAGE", "basefs/filesystem.py", line),
+        ]

@@ -5,6 +5,7 @@ that keeps src/repro clean."""
 from __future__ import annotations
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from repro.analysis.rules import (
     ShadowPurityRule,
     rule_families,
 )
+from tests.test_contracts_rules import CONTRACTS
 from tests.test_persistence_rules import ROLES_COMMIT_THEN_CHECKPOINT, UNFLUSHED_COMMIT
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -492,7 +494,6 @@ class TestCli:
             "OPLOG-COVERAGE",
             "LOCK-RELEASE",
             "LOCK-ORDER",
-            "JOURNAL-BEFORE-WRITE",
             "REPLAY-DETERMINISM",
             "ERRNO-DISCIPLINE",
             "HOOK-REGISTRY",
@@ -608,28 +609,35 @@ class TestFamilySelect:
         assert rule_families() == {
             "core": (
                 "SHADOW-PURITY", "SHADOW-REACH", "OPLOG-COVERAGE",
-                "LOCK-RELEASE", "LOCK-ORDER", "JOURNAL-BEFORE-WRITE",
+                "LOCK-RELEASE", "LOCK-ORDER",
                 "REPLAY-DETERMINISM", "ERRNO-DISCIPLINE", "HOOK-REGISTRY",
             ),
             "contracts": (
                 "ERRNO-PARITY", "EFFECT-CONTRACT", "API-PARITY", "STATE-PROTOCOL",
             ),
-            "concurrency": ("RACE-LOCKSET", "ATOMIC-RMW"),
             "persistence": ("FLUSH-BARRIER", "PERSIST-ORDER", "CRASH-HOOK-COVERAGE"),
         }
-        assert len(RULE_CLASSES) == 18
-        assert len({cls.rule_id for cls in RULE_CLASSES}) == 18
+        assert len(RULE_CLASSES) == 15
+        assert len({cls.rule_id for cls in RULE_CLASSES}) == 15
+
+    def test_rule_catalog_documents_exactly_the_registry(self):
+        # docs/STATIC_ANALYSIS.md has one `### RULE-ID (severity)` section
+        # per registered rule: a rule cannot be added or retired without
+        # its documentation following.
+        catalog = (REPO_ROOT / "docs" / "STATIC_ANALYSIS.md").read_text()
+        documented = set(re.findall(r"^### ([A-Z0-9]+(?:-[A-Z0-9]+)*)(?: \(|$)", catalog, re.M))
+        assert documented == {cls.rule_id for cls in RULE_CLASSES}
 
     def test_family_token_selects_only_that_family(self, tmp_path, capsys):
         # A persistence bug and nothing else: `--select persistence`
-        # reports it, `--select concurrency` stays silent on the same tree.
+        # reports it, `--select contracts` stays silent on the same tree.
         root = write_tree(tmp_path, {
             "spec/persistence.py": ROLES_COMMIT_THEN_CHECKPOINT,
             "basefs/journal.py": UNFLUSHED_COMMIT,
         })
         assert raelint_main([str(root), "--select", "persistence", "--fail-on-findings"]) == 1
         assert "FLUSH-BARRIER" in capsys.readouterr().out
-        assert raelint_main([str(root), "--select", "concurrency", "--fail-on-findings"]) == 0
+        assert raelint_main([str(root), "--select", "contracts", "--fail-on-findings"]) == 0
 
     def test_family_and_exact_id_tokens_mix(self, tmp_path, capsys):
         root = write_tree(tmp_path, {
@@ -637,10 +645,10 @@ class TestFamilySelect:
             "basefs/journal.py": UNFLUSHED_COMMIT,
         })
         assert raelint_main([
-            str(root), "--select", "concurrency,SHADOW-PURITY", "--fail-on-findings",
+            str(root), "--select", "contracts,SHADOW-PURITY", "--fail-on-findings",
         ]) == 0
         assert raelint_main([
-            str(root), "--select", "concurrency,FLUSH-BARRIER", "--fail-on-findings",
+            str(root), "--select", "contracts,FLUSH-BARRIER", "--fail-on-findings",
         ]) == 1
 
     def test_unknown_family_exits_two(self, tmp_path, capsys):
@@ -659,6 +667,17 @@ class TestFamilySelect:
     def test_retired_commute_family_is_rejected(self, tmp_path, capsys):
         assert raelint_main([str(tmp_path), "--select", "commute"]) == 2
         assert "commute" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["concurrency", "RACE-LOCKSET", "JOURNAL-BEFORE-WRITE"])
+    def test_retired_concurrency_and_journal_ids_are_rejected(self, tmp_path, capsys, token):
+        assert raelint_main([str(tmp_path), "--select", token]) == 2
+        assert token in capsys.readouterr().err
+
+    def test_select_help_lists_the_registry_families(self, capsys):
+        with pytest.raises(SystemExit):
+            raelint_main(["--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"family name ({', '.join(rule_families())})" in help_text
 
     def test_retired_replay_matrix_emitter_is_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -682,30 +701,25 @@ class TestSharedContext:
         assert context.cfg(func) is context.cfg(func)
 
     def test_shared_context_findings_match_isolated_runs(self, tmp_path):
-        # The engine memoizes CFGs/call graph across the rule set; the
-        # report must be identical to running every rule in its own
-        # Analyzer (fresh caches).  Fixture trips flow, contract, and
-        # concurrency rules so the shared artifacts are actually hit.
+        # The engine memoizes CFGs, the call graph and the family models
+        # (``context.shared``) across the rule set; the report must be
+        # identical to running every rule in its own Analyzer (fresh
+        # caches).  Fixture trips flow, contract, and persistence rules
+        # so every shared artifact is actually hit.
         root = write_tree(tmp_path, {
-            "spec/concurrency.py": 'SHARED_CLASSES = ("Box",)\nGUARDED_BY = {}\n',
-            "core/box.py": """
+            "spec/contracts.py": CONTRACTS,
+            "spec/persistence.py": ROLES_COMMIT_THEN_CHECKPOINT,
+            "basefs/journal.py": UNFLUSHED_COMMIT,
+            "shadowfs/filesystem.py": """
                 import time
 
-                class Box:
-                    def __init__(self):
-                        self.item = None
+                class ShadowFilesystem(FilesystemAPI):
+                    def unlink(self, path, opseq=0):
+                        self._deny(path)
 
-                def put(b: Box, item):
-                    b.item = item
-
-                async def drain(b: Box, locks, ino):
-                    locks.acquire(ino)
-                    await tick()
-                    locks.release(ino)
-                    time.sleep(1)
-
-                async def tick():
-                    pass
+                    def _deny(self, path):
+                        time.sleep(0)
+                        raise FsError(Errno.EPERM, path)
             """,
             "basefs/ops.py": """
                 def risky(locks, ino):
@@ -721,7 +735,12 @@ class TestSharedContext:
             report = analyze_tree(root, rules=[type(rule)()])
             isolated_keys |= {(f.path, f.line, f.rule_id, f.message) for f in report.findings}
         assert shared_keys == isolated_keys
-        assert shared_keys  # the fixture actually produced findings
+        # The fixture reaches every shared artifact: CFGs (LOCK-RELEASE),
+        # the call graph (REPLAY-DETERMINISM), the contract summaries
+        # (ERRNO-PARITY) and the persistence model (FLUSH-BARRIER).
+        assert {"LOCK-RELEASE", "REPLAY-DETERMINISM", "ERRNO-PARITY", "FLUSH-BARRIER"} <= {
+            rule_id for _, _, rule_id, _ in shared_keys
+        }
 
 
 # ---------------------------------------------------------------------------
