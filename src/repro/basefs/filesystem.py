@@ -37,7 +37,7 @@ from repro.basefs.hooks import HookPoints
 from repro.basefs.inode_cache import CachedInode, InodeCache
 from repro.basefs.journal_mgr import JournalManager
 from repro.basefs.locks import LockManager
-from repro.basefs.page_cache import Page, PageCache
+from repro.basefs.page_cache import DetachedPages, Page, PageCache
 from repro.basefs.vfs import FdTable
 from repro.basefs.writeback import WritebackDaemon, WritebackPolicy
 from repro.blockdev.blkmq import BlockMQ, IoScheduler
@@ -97,7 +97,7 @@ class BaseFilesystem(FilesystemAPI):
         validate_on_sync: bool = True,
         nr_queues: int = 4,
         io_scheduler: IoScheduler | None = None,
-        preserved_pages: dict[tuple[int, int], Page] | None = None,
+        preserved_pages: DetachedPages | None = None,
     ):
         self.device = device
         self.hooks = hooks or HookPoints()
@@ -140,10 +140,10 @@ class BaseFilesystem(FilesystemAPI):
         self.inode_cache = InodeCache(capacity=inode_cache_capacity)
         self.dentry_cache = DentryCache(capacity=dentry_cache_capacity)
         self.page_cache = PageCache(capacity_pages=page_cache_capacity)
-        if preserved_pages:
+        if preserved_pages is not None:
             self.page_cache.attach(preserved_pages)
         self.fd_table = FdTable()
-        self.alloc = AllocState.load(self.layout, device.read_block)
+        self.alloc = AllocState.load(self.layout, self.cache.read)
         self.block_alloc = BlockAllocator(self.alloc, self.hooks)
         self.inode_alloc = InodeAllocator(self.alloc, self.hooks)
         self.locks = LockManager(self.hooks)

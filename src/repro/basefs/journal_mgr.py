@@ -133,8 +133,8 @@ class JournalManager:
 
         # Home writes: the journaled copy is durable, so the home locations
         # may now be updated in any order.  The append loop above ran at
-        # least once (`if not txn: return` guards the empty case), but that
-        # loop bound is invisible to the intraprocedural must-analysis.
+        # least once (`if not txn: return` guards the empty case), so every
+        # block below already sits behind a flushed commit record.
         for block in blocks:
             cache.writeback(block)
         self.device.flush()

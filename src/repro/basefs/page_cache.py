@@ -8,9 +8,9 @@ File data lives here between a ``write`` and its write-back, keyed by
 * **survival across contained reboot** — §2.3: "The data pages are shared
   between the base and the shadow because only applications can detect
   their corruption."  Contained reboot discards every *metadata* cache
-  but calls :meth:`PageCache.detach`/:meth:`attach` to carry data pages
-  across, and the shadow reads them (read-only) when replaying reads of
-  not-yet-persisted data;
+  but calls :meth:`PageCache.detach`/:meth:`attach` to hand the live LRU
+  mapping (and its per-inode index) to the rebooted base as it is — no
+  copy, no re-insert, so LRU order survives;
 * **read-ahead** — a sequential-read heuristic that exists purely as a
   base-side performance feature, to make the Figure 2 contrast honest.
 """
@@ -36,6 +36,15 @@ _page_order = attrgetter("ino", "logical")
 
 
 @dataclass
+class DetachedPages:
+    """A page cache's contents on their way across a contained reboot:
+    the live LRU mapping and its per-inode index, handed over as they are."""
+
+    pages: OrderedDict[tuple[int, int], Page]
+    by_ino: dict[int, set[int]]
+
+
+@dataclass
 class PageCacheStats:
     hits: int = 0
     misses: int = 0
@@ -54,6 +63,11 @@ class PageCache:
     The cache itself never touches the device: the filesystem supplies
     data on miss and consumes dirty pages at write-back.  This keeps all
     allocation policy (delayed allocation!) out of the cache.
+
+    Cached pages are also indexed per inode (the shape of the kernel's
+    per-inode ``address_space``), so dropping one file's pages — unlink,
+    truncate, the recovery hand-off — costs that file's pages, not the
+    whole cache.
     """
 
     def __init__(self, capacity_pages: int = 4096, readahead_window: int = 4):
@@ -62,6 +76,7 @@ class PageCache:
         self.capacity = capacity_pages
         self.readahead_window = readahead_window
         self._pages: OrderedDict[tuple[int, int], Page] = OrderedDict()
+        self._by_ino: dict[int, set[int]] = {}  # ino -> its cached logical blocks
         self._last_read: dict[int, int] = {}  # ino -> last logical read (for read-ahead)
         self.stats = PageCacheStats()
 
@@ -87,6 +102,7 @@ class PageCache:
         if page is None:
             page = Page(ino=ino, logical=logical, data=bytearray(data), dirty=dirty)
             self._pages[key] = page
+            self._by_ino.setdefault(ino, set()).add(logical)
         else:
             page.data[:] = data
             page.dirty = page.dirty or dirty
@@ -133,35 +149,47 @@ class PageCache:
 
     def drop_ino(self, ino: int, from_logical: int = 0) -> None:
         """Drop pages of one file at/after ``from_logical`` (truncate, unlink)."""
-        victims = [key for key in self._pages if key[0] == ino and key[1] >= from_logical]
-        for key in victims:
-            del self._pages[key]
+        victims = [logical for logical in self._by_ino.get(ino, ()) if logical >= from_logical]
+        for logical in victims:
+            self._remove(ino, logical)
         self._last_read.pop(ino, None)
 
     def drop_inos(self, inos: set[int]) -> None:
-        """Drop every page of the given files in one pass (hand-off)."""
-        victims = [key for key in self._pages if key[0] in inos]
-        for key in victims:
-            del self._pages[key]
+        """Drop every page of the given files (hand-off)."""
         for ino in inos:
+            for logical in self._by_ino.pop(ino, ()):
+                del self._pages[(ino, logical)]
             self._last_read.pop(ino, None)
 
-    def detach(self) -> dict[tuple[int, int], Page]:
-        """Contained reboot: hand the pages out to survive the reset."""
-        pages = self._pages
+    def detach(self) -> DetachedPages:
+        """Contained reboot: hand the live mapping and its index out,
+        leaving this cache empty."""
+        detached = DetachedPages(self._pages, self._by_ino)
         self._pages = OrderedDict()
+        self._by_ino = {}
         self._last_read = {}
-        return dict(pages)
+        return detached
 
-    def attach(self, pages: dict[tuple[int, int], Page]) -> None:
-        """Re-adopt pages preserved across a contained reboot."""
-        for key in sorted(pages):
-            self._pages[key] = pages[key]
+    def attach(self, detached: DetachedPages) -> None:
+        """Adopt pages preserved across a contained reboot as they are:
+        same objects, same LRU order, no copy."""
+        if self._pages:
+            raise ValueError("attach() adopts into an empty page cache only")
+        self._pages = detached.pages
+        self._by_ino = detached.by_ino
         self._evict_excess()
 
     def drop_all(self) -> None:
         self._pages.clear()
+        self._by_ino.clear()
         self._last_read.clear()
+
+    def _remove(self, ino: int, logical: int) -> None:
+        del self._pages[(ino, logical)]
+        logicals = self._by_ino[ino]
+        logicals.discard(logical)
+        if not logicals:
+            del self._by_ino[ino]
 
     def _evict_excess(self) -> None:
         while len(self._pages) > self.capacity:
@@ -172,5 +200,5 @@ class PageCache:
                     break
             if victim is None:
                 return  # all dirty; stay over capacity until write-back
-            del self._pages[victim]
+            self._remove(*victim)
             self.stats.evictions += 1

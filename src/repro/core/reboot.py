@@ -9,8 +9,8 @@ and file descriptors."  Concretely:
   old filesystem object*;
 * the **data pages survive**: "The data pages are shared between the
   base and the shadow because only applications can detect their
-  corruption" (§2.3).  They are detached from the dying instance and
-  attached to the new one (and exposed read-only to the shadow);
+  corruption" (§2.3).  The dying instance's page cache hands its live
+  LRU mapping to the new one, which adopts it as it is;
 * the on-disk journal is replayed and reset by the re-mount, exactly as
   a crash-restart mount would, establishing the trusted on-disk state
   S0 that recovery reconstructs from;
@@ -52,7 +52,7 @@ def contained_reboot(
     # the authoritative dirty copies arrive via the hand-off, so preserved
     # dirtiness is cleared — a failed recovery must never flush distrusted
     # buffered data.
-    for page in preserved.values():
+    for page in preserved.pages.values():
         page.dirty = False
     hooks = old_fs.hooks
 
@@ -79,4 +79,4 @@ def contained_reboot(
         io_scheduler=old_fs.blkmq.scheduler,
         preserved_pages=preserved,
     )
-    return RebootResult(fs=new_fs, preserved_pages=preserved, replayed_txns=new_fs.replayed_txns)
+    return RebootResult(fs=new_fs, preserved_pages=preserved.pages, replayed_txns=new_fs.replayed_txns)

@@ -234,7 +234,7 @@ class RAEFilesystem(FilesystemAPI):
         })
         reg("forensics", lambda: {
             "bundles_built": self.forensics.built,
-            "bundles_kept": len(self.forensics.bundles),
+            "bundles_kept": len(self.forensics),
             "bundles_dropped": self.forensics.dropped,
             "flight.enabled": self.flight.enabled,
             "flight.entries": len(self.flight),
@@ -445,10 +445,10 @@ class RAEFilesystem(FilesystemAPI):
                     outcome="failure",
                     trigger=detected.as_dict(),
                     window=window,
-                    flight=frozen.as_dict() if frozen is not None else None,
+                    flight=frozen,
                     phases=phases,
                     replay=None,
-                    crosschecks=capture.as_dict(),
+                    crosschecks=capture,
                     events=[e.as_dict() for e in events.since(event_mark)],
                     nesting=depth,
                     failure={
@@ -504,7 +504,7 @@ class RAEFilesystem(FilesystemAPI):
                 outcome="success",
                 trigger=detected.as_dict(),
                 window=window,
-                flight=frozen.as_dict() if frozen is not None else None,
+                flight=frozen,
                 phases={
                     "reboot": outcome.reboot_seconds,
                     "replay": outcome.replay_seconds,
@@ -521,7 +521,7 @@ class RAEFilesystem(FilesystemAPI):
                     "checks_run": outcome.report.checks_run,
                     "discrepancies": [str(d) for d in outcome.report.discrepancies],
                 },
-                crosschecks=capture.as_dict(),
+                crosschecks=capture,
                 events=[e.as_dict() for e in events.since(event_mark)],
                 nesting=depth,
             ))
@@ -644,7 +644,7 @@ class RAEFilesystem(FilesystemAPI):
         if self.forensics.built:
             lines.append(
                 f"  forensic bundles: {self.forensics.built} built, "
-                f"keeping {len(self.forensics.bundles)}/{self.forensics.limit} "
+                f"keeping {len(self.forensics)}/{self.forensics.limit} "
                 f"(see rae-report bundle)"
             )
         if self.stats.recovery.failure_phases:

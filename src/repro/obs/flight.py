@@ -10,16 +10,18 @@ A :class:`FlightRecorder` keeps a small ring of the most recent
 operations and a baseline sample of cheap subsystem tallies (journal
 commits, cache hits, device IO...).  At detection time — in the
 supervisor, *before* :func:`repro.core.reboot.contained_reboot` runs —
-the ring is **frozen**: rendered into an immutable
+the ring is **frozen**: copied into an immutable
 :class:`FrozenFlight` (name, brief args, errno per op; the detector's
 classification is the freeze ``reason``) together with the stat deltas
 since the last baseline.  The frozen copy goes into the forensic bundle;
 the live ring keeps recording.
 
 Cost model: one tuple append per operation.  Only a frozen ring is ever
-read, so the ring holds the operation itself and :meth:`freeze` renders
-the :data:`DETAIL_LIMIT`-bounded detail strings, at most ``size`` of
-them per recovery.  An operation is held only while every argument is
+read, so the ring holds the operation itself and the frozen copy keeps
+those tuples as they are: the :data:`DETAIL_LIMIT`-bounded detail
+strings render when :attr:`FrozenFlight.entries` is read — for a
+bundle, the first time the bundle is read, never inside the recovery
+stall.  An operation is held only while every argument is
 an ``int`` or a string no longer than :data:`DETAIL_LIMIT`; anything
 else — a ``write`` payload above all — is rendered on the spot, so the
 ring's footprint never grows with operation size.  No clock is read per
@@ -89,9 +91,14 @@ class FrozenFlight:
     reason: str
     trigger_seq: int | None
     frozen_at: float
-    entries: tuple[FlightEntry, ...]
+    ring: tuple[tuple, ...]  # the ring's tuples as note_op appended them
     stat_deltas: dict
     ops_seen: int  # cumulative ops noted over the recorder's lifetime
+
+    @property
+    def entries(self) -> tuple[FlightEntry, ...]:
+        """The frozen ring, rendered."""
+        return tuple(_render(*entry) for entry in self.ring)
 
     def as_dict(self) -> dict:
         return {
@@ -184,7 +191,7 @@ class FlightRecorder:
             reason=_truncate(reason),
             trigger_seq=trigger_seq,
             frozen_at=self.clock(),
-            entries=tuple(_render(*entry) for entry in self.entries),
+            ring=tuple(self.entries),
             stat_deltas=deltas,
             ops_seen=self.ops_seen,
         )

@@ -63,31 +63,37 @@ class CrossCheckCapture:
     ``note`` receives every (record, replayed) pair the engine
     cross-checks — duck-typed: ``record`` has ``seq``/``op``/``outcome``
     and the outcomes are :class:`~repro.api.OpResult`-shaped — and keeps
-    a bounded table of expected vs. observed return value / inode /
-    errno, flagged ``match``/divergent.
+    a bounded list of them with their verdict.  :attr:`rows` renders the
+    table of expected vs. observed return value / inode / errno, flagged
+    ``match``/divergent, when it is read: a bundle is read after the
+    recovery stall, if ever.
     """
 
     def __init__(self, limit: int = DEFAULT_CROSSCHECK_LIMIT):
         if limit <= 0:
             raise ValueError(f"crosscheck capture limit must be positive, got {limit}")
         self.limit = limit
-        self.rows: list[dict] = []
+        self._noted: list[tuple] = []  # (record, replayed, match)
         self.captured = 0
 
     def note(self, record, replayed) -> None:
         self.captured += 1
-        if len(self.rows) >= self.limit:
+        if len(self._noted) >= self.limit:
             return
-        expected = record.outcome
-        self.rows.append(
+        self._noted.append((record, replayed, record.outcome.same_outcome_as(replayed)))
+
+    @property
+    def rows(self) -> list[dict]:
+        return [
             {
                 "corr_id": record.seq,
                 "op": record.op.describe(),
-                "expected": self._side(expected),
+                "expected": self._side(record.outcome),
                 "observed": self._side(replayed),
-                "match": expected.same_outcome_as(replayed),
+                "match": match,
             }
-        )
+            for record, replayed, match in self._noted
+        ]
 
     @staticmethod
     def _side(outcome) -> dict:
@@ -99,18 +105,14 @@ class CrossCheckCapture:
 
     @property
     def dropped(self) -> int:
-        return max(0, self.captured - len(self.rows))
-
-    @property
-    def divergent(self) -> list[dict]:
-        return [row for row in self.rows if not row["match"]]
+        return max(0, self.captured - len(self._noted))
 
     def as_dict(self) -> dict:
         return {
-            "rows": list(self.rows),
+            "rows": self.rows,
             "captured": self.captured,
             "dropped": self.dropped,
-            "divergent": len(self.divergent),
+            "divergent": sum(1 for _record, _replayed, match in self._noted if not match),
         }
 
 
@@ -123,10 +125,10 @@ def build_bundle(
     outcome: str,
     trigger: dict,
     window: dict | None,
-    flight: dict | None,
+    flight,
     phases: dict,
     replay: dict | None,
-    crosschecks: dict,
+    crosschecks,
     events: list[dict],
     nesting: int = 0,
     failure: dict | None = None,
@@ -136,6 +138,11 @@ def build_bundle(
     ``outcome`` covers the §3.2 procedure (reboot → replay → handoff);
     a later post-commit failure surfaces as its own detection and, if it
     recovers, its own bundle.
+
+    ``flight`` (a frozen ring or ``None``) and ``crosschecks`` may be
+    passed unrendered — anything with ``as_dict()`` — in which case the
+    bundle is JSON-able once :class:`BundleStore` has rendered it, the
+    first time it is read; or as the dicts ``as_dict()`` returns.
     """
     if outcome not in ("success", "failure"):
         raise ValueError(f"bundle outcome must be success|failure, got {outcome!r}")
@@ -156,29 +163,50 @@ def build_bundle(
     return bundle
 
 
+def _rendered(bundle: dict) -> dict:
+    """Render, in place and once, the sections :func:`build_bundle` was
+    handed unrendered; the keys keep their places."""
+    for key in ("flight", "crosschecks"):
+        value = bundle[key]
+        if value is not None and not isinstance(value, dict):
+            bundle[key] = value.as_dict()
+    return bundle
+
+
 class BundleStore:
-    """Bounded supervisor-lifetime store of forensic bundles."""
+    """Bounded supervisor-lifetime store of forensic bundles.
+
+    A bundle renders its flight ring and cross-check table the first
+    time it is read through :attr:`bundles` or :attr:`last`, so a
+    recovery pays for nothing nobody has read yet."""
 
     def __init__(self, limit: int = 16):
         if limit <= 0:
             raise ValueError(f"bundle store limit must be positive, got {limit}")
         self.limit = limit
-        self.bundles: list[dict] = []
+        self._bundles: list[dict] = []
         self.built = 0
 
     def add(self, bundle: dict) -> None:
         self.built += 1
-        self.bundles.append(bundle)
-        if len(self.bundles) > self.limit:
-            del self.bundles[0]
+        self._bundles.append(bundle)
+        if len(self._bundles) > self.limit:
+            del self._bundles[0]
+
+    def __len__(self) -> int:
+        return len(self._bundles)
+
+    @property
+    def bundles(self) -> list[dict]:
+        return [_rendered(bundle) for bundle in self._bundles]
 
     @property
     def last(self) -> dict | None:
-        return self.bundles[-1] if self.bundles else None
+        return _rendered(self._bundles[-1]) if self._bundles else None
 
     @property
     def dropped(self) -> int:
-        return max(0, self.built - len(self.bundles))
+        return max(0, self.built - len(self._bundles))
 
 
 def write_bundle(path: str, bundle: dict) -> str:

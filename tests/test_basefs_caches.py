@@ -12,6 +12,15 @@ from repro.ondisk.layout import BLOCK_SIZE
 from tests.reference_ondisk import reference_dirty_pages
 
 
+def recounted_index(cache: PageCache) -> dict[int, set[int]]:
+    """The per-inode index recomputed from the cached keys: the oracle
+    the maintained ``PageCache._by_ino`` is held to."""
+    index: dict[int, set[int]] = {}
+    for ino, logical in cache._pages:
+        index.setdefault(ino, set()).add(logical)
+    return index
+
+
 class TestDentryCache:
     def test_positive_lookup(self):
         cache = DentryCache()
@@ -203,17 +212,49 @@ class TestPageCache:
         cache.attach(pages)
         assert cache.lookup(1, 0) is not None
 
+    def test_attach_keeps_page_identity_and_lru_order(self):
+        """A contained reboot hands the mapping over as it is: the new
+        cache holds the same page objects in the same LRU order, so its
+        first eviction takes the page the old cache would have taken."""
+        rng = random.Random(3)
+        old = PageCache(capacity_pages=64)
+        for _ in range(200):
+            ino, logical = rng.randrange(1, 6), rng.randrange(30)
+            if rng.random() < 0.7:
+                old.install(ino, logical, self.page(logical), dirty=False)
+            else:
+                old.lookup(ino, logical)
+        before = [(key, id(page)) for key, page in old._pages.items()]
+        assert before != sorted(before)  # LRU order is not key order
+        new = PageCache(capacity_pages=64)
+        new.attach(old.detach())
+        assert [(key, id(page)) for key, page in new._pages.items()] == before
+        assert len(old) == 0 and old._by_ino == {}
+        assert new._by_ino == recounted_index(new)
+        lru_key = before[0][0]
+        new.install(99, 0, self.page(9), dirty=False)  # at capacity: evicts one page
+        assert lru_key not in new._pages and len(new) == 64
+
+    def test_attach_requires_an_empty_cache(self):
+        donor, busy = PageCache(), PageCache()
+        donor.install(1, 0, self.page(1), dirty=False)
+        busy.install(2, 0, self.page(2), dirty=False)
+        with pytest.raises(ValueError):
+            busy.attach(donor.detach())
+
     @pytest.mark.parametrize("seed", range(6))
     def test_dirty_pages_match_the_sort_everything_reference(self, seed):
         """Same page objects in the same order as sorting every cached
         key, across installs, overwrites, cleaning, eviction, drops and a
-        contained reboot's detach/attach."""
+        contained reboot's detach/attach; and after every step the
+        per-inode index is the one a recount of the cached keys gives."""
         rng = random.Random(seed)
         cache = PageCache(capacity_pages=rng.choice([16, 64, 4096]))
         for _step in range(400):
             ino, logical = rng.randrange(1, 9), rng.randrange(40)
             action = rng.choices(
-                ["install", "lookup", "mark_clean", "drop_ino", "drop_inos", "reboot"], weights=[60, 15, 15, 4, 2, 4]
+                ["install", "lookup", "mark_clean", "drop_ino", "drop_inos", "drop_all", "reboot"],
+                weights=[60, 15, 15, 4, 2, 1, 4],
             )[0]
             if action == "install":
                 cache.install(ino, logical, self.page(rng.randrange(256)), dirty=rng.random() < 0.5)
@@ -225,11 +266,16 @@ class TestPageCache:
                 cache.drop_ino(ino, from_logical=rng.choice([0, logical]))
             elif action == "drop_inos":
                 cache.drop_inos({ino, rng.randrange(1, 9)})
-            else:
-                cache.attach(cache.detach())
+            elif action == "drop_all":
+                cache.drop_all()
+            else:  # contained reboot: the rebooted base's fresh cache adopts the pages
+                fresh = PageCache(capacity_pages=cache.capacity)
+                fresh.attach(cache.detach())
+                cache = fresh
             dirty = cache.dirty_pages()
             expected = reference_dirty_pages(cache)
             assert [id(page) for page in dirty] == [id(page) for page in expected]
+            assert cache._by_ino == recounted_index(cache), (seed, _step, action)
 
     def test_rejects_bad_page_size(self):
         cache = PageCache()

@@ -3,6 +3,7 @@ repro.obs.events, repro.obs.flight, repro.obs.forensics, and their
 supervisor wiring (correlation ids, freeze-at-detection, cross-check
 divergence capture)."""
 
+import functools
 import hashlib
 import json
 import os
@@ -12,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.supervisor as supervisor_module
 from repro.api import OpenFlags, op
 from repro.basefs.hooks import HookPoints
 from repro.core.supervisor import RAEConfig, RAEFilesystem
-from repro.errors import Errno, RecoveryFailure
+from repro.errors import Errno, KernelBug, RecoveryFailure
 from repro.faults.catalog import make_dir_insert_crash_bug
 from repro.faults.injector import Injector
 from repro.obs import (
@@ -33,6 +35,7 @@ from repro.obs import (
 from repro.obs.flight import DETAIL_LIMIT
 from repro.obs.metrics import Histogram, Registry
 from tests.conftest import formatted_device
+from tests.reference_forensics import ReferenceCrossCheckCapture, reference_freeze
 from tests.test_core_supervisor import crash_on_name
 from tests.test_obs import FakeClock
 
@@ -287,6 +290,124 @@ class TestLazyRenderingIsInvisible:
         del bundle["phases"]
         assert bundle["flight"]["ops_seen"] > len(bundle["flight"]["entries"]) == 64
         assert _sha(bundle) == self.BUNDLE_SHA
+
+
+# ---------------------------------------------------------------------------
+# Bundles render when read: pinned to the eager rendering
+
+
+def _without_wall_clock(bundle: dict) -> str:
+    """A bundle as JSON minus its wall-clock readings: the phase timings
+    and the per-phase ``seconds`` its events carry."""
+    bundle = dict(bundle)
+    del bundle["phases"]
+    bundle["events"] = [
+        {**event, "fields": {k: v for k, v in event["fields"].items() if k != "seconds"}}
+        for event in bundle["events"]
+    ]
+    return json.dumps(bundle, sort_keys=True)
+
+
+def _eager_build_bundle(**sections):
+    """What the supervisor did before bundles rendered on read."""
+    for key in ("flight", "crosschecks"):
+        if sections[key] is not None:
+            sections[key] = sections[key].as_dict()
+    return build_bundle(**sections)
+
+
+def _recover_successfully(fs, hooks):
+    for operation in _seeded_stream(count=60):
+        operation.apply(fs)
+    fs.mkdir("/d/evil")
+    assert fs.recovery_count == 1
+
+
+def _fail_on_a_strict_mismatch(fs, hooks):
+    for operation in _seeded_stream(count=60):
+        operation.apply(fs)
+    fd = fs.open("/d/tampered", OpenFlags.CREAT)
+    fs.write(fd, b"the recorded outcome is about to lie")
+    fs.oplog.entries[-1].outcome.value = 2  # claim a short write
+    with pytest.raises(RecoveryFailure):
+        fs.mkdir("/d/evil")
+
+
+def _recover_twice_nested(fs, hooks):
+    for operation in _seeded_stream(count=60):
+        operation.apply(fs)
+    armed = [True]
+
+    def post_commit_bug(point, ctx):
+        if armed[0]:
+            armed[0] = False
+            raise KernelBug("post-recovery commit crash")
+
+    hooks.register("journal.commit", post_commit_bug)
+    fs.mkdir("/d/evil")  # recovery -> post-commit crash -> nested recovery
+    assert fs.recovery_count == 2
+
+
+class TestBundlesRenderOnRead:
+    """The frozen ring and the cross-check table are kept raw and render
+    the first time a bundle is read.  Each scenario runs twice from the
+    same seed and the same injected clock: once as the tree is, once with
+    the reference copies of the old eager ``freeze``/``note`` bodies
+    (``tests/reference_forensics.py``) rendering everything inside the
+    stall.  Later operations run before the lazy bundles are read, so
+    anything they could change would show."""
+
+    def _bundles(self, scenario, eager: bool) -> list[str]:
+        hooks = HookPoints()
+        crash_on_name(hooks, "evil")
+        with pytest.MonkeyPatch.context() as patch:
+            if eager:
+                patch.setattr(supervisor_module, "CrossCheckCapture", ReferenceCrossCheckCapture)
+                patch.setattr(supervisor_module, "build_bundle", _eager_build_bundle)
+            fs = RAEFilesystem(
+                formatted_device(8192), RAEConfig(profile=False), hooks=hooks,
+                obs=Registry(clock=FakeClock()),
+            )
+            if eager:
+                fs.flight.freeze = functools.partial(reference_freeze, fs.flight)
+            scenario(fs, hooks)
+            if not eager:
+                stored = fs.forensics._bundles
+                assert stored and all(
+                    not isinstance(bundle[key], dict) for bundle in stored for key in ("flight", "crosschecks")
+                )
+                if fs.recovery_count:
+                    for operation in _seeded_stream(seed=17, count=30)[3:]:
+                        operation.apply(fs)
+            return [_without_wall_clock(bundle) for bundle in fs.forensics.bundles]
+
+    @pytest.mark.parametrize(
+        "scenario", [_recover_successfully, _fail_on_a_strict_mismatch, _recover_twice_nested]
+    )
+    def test_bundle_equals_the_eager_rendering(self, scenario):
+        lazy = self._bundles(scenario, eager=False)
+        eager = self._bundles(scenario, eager=True)
+        assert lazy == eager
+        outcomes = [json.loads(bundle)["outcome"] for bundle in lazy]
+        crosschecks = [json.loads(bundle)["crosschecks"] for bundle in lazy]
+        if scenario is _fail_on_a_strict_mismatch:
+            assert outcomes == ["failure"] and crosschecks[0]["divergent"] == 1
+        else:
+            assert set(outcomes) == {"success"}
+            assert len(lazy) == (2 if scenario is _recover_twice_nested else 1)
+            assert all(table["rows"] and not table["divergent"] for table in crosschecks)
+        assert all(len(json.loads(bundle)["flight"]["entries"]) == 64 for bundle in lazy)
+
+    def test_a_bundle_renders_once(self):
+        store = BundleStore()
+        capture = CrossCheckCapture()
+        store.add(build_bundle(
+            outcome="success", trigger={}, window=None, flight=None, phases={},
+            replay=None, crosschecks=capture, events=[],
+        ))
+        first = store.last["crosschecks"]
+        assert store.last["crosschecks"] is first is store.bundles[0]["crosschecks"]
+        assert len(store) == 1
 
 
 # ---------------------------------------------------------------------------
