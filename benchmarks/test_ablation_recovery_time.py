@@ -19,8 +19,10 @@ is above 1 by design; the budget keeps it the price of those checks and
 not of waste in the format primitives under them.
 """
 
+import gc
 import random
 import time
+import tracemalloc
 
 from repro.api import OpenFlags, op
 from repro.basefs.filesystem import BaseFilesystem
@@ -202,6 +204,63 @@ def test_recovery_cost_follows_the_window(benchmark):
     assert ratio <= STALL_COST_BUDGET, (
         f"a 3-op recovery stalls {ratio:.2f}x longer with {MANY_PAGES} clean pages cached than with "
         f"{FEW_PAGES} (budget {STALL_COST_BUDGET}x): nothing in a stall should walk the whole page cache"
+    )
+
+
+RETAIN_WARMUP = 20
+RETAIN_RECOVERIES = 50
+# Bytes counted by tracemalloc, so the figure does not depend on the
+# machine's speed.  Measured 18.5 KiB in each of twelve repetitions
+# (Python 3.11): the bounded rings and the detector history filling, and
+# the last rebooted base's caches.  163.0 KiB in each of twelve while
+# every failed base stayed alive with its allocation bitmaps, pinned by
+# the detector history's traceback frames and by its own reference
+# cycles.  Only Python 3.11 was measured; CI runs 3.12.  The budget
+# covers that: the 18.5 KiB is ~160 small heap blocks, and 3.12
+# lays objects and frames out as 3.11 does, so it would take per-object
+# sizes more than twice 3.11's to reach 40 KiB.  A leaked base costs at
+# least its 32 bitmap bytearrays, 128 KiB of data on any interpreter.
+RETAIN_BUDGET_KIB = 40.0
+
+
+def _retained_kib_per_recovery() -> float:
+    """Heap bytes still allocated per recovery after ``RETAIN_RECOVERIES``
+    recoveries of a window that writes no new data (a directory made and
+    removed), once the collector has run."""
+    fs = RAEFilesystem(make_device(16384), RAEConfig(), hooks=trigger_hooks())
+
+    def recover():
+        fs.mkdir("/d")
+        fs.rmdir("/d")
+        fs.mkdir("/trigger-now")
+        fs.rmdir("/trigger-now")
+
+    for _ in range(RETAIN_WARMUP):
+        recover()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(RETAIN_RECOVERIES):
+            recover()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert fs.recovery_count == RETAIN_WARMUP + RETAIN_RECOVERIES
+    return retained / RETAIN_RECOVERIES / 1024
+
+
+def test_recovery_retains_nothing(benchmark):
+    """A recovery leaves nothing of the base it discarded: what the heap
+    keeps per recovery is the supervisor's own bounded rings filling up
+    and its per-recovery timing lists, not a dead filesystem."""
+    kib = benchmark.pedantic(_retained_kib_per_recovery, rounds=1, iterations=1)
+    print_banner(f"Heap retained per recovery ({RETAIN_RECOVERIES} recoveries, no new data)")
+    print(format_table(["KiB per recovery", "budget KiB"], [[kib, RETAIN_BUDGET_KIB]]))
+    assert kib <= RETAIN_BUDGET_KIB, (
+        f"each recovery leaves {kib:.1f} KiB on the heap (budget {RETAIN_BUDGET_KIB} KiB): "
+        "something still keeps the failed base alive"
     )
 
 

@@ -25,6 +25,7 @@ supervisor acts.
 from __future__ import annotations
 
 import enum
+import traceback
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -72,6 +73,22 @@ class DetectedError:
             "message": str(self.exception),
         }
 
+    def clear_frames(self) -> None:
+        """Drop the locals of the finished frames in the exception's
+        traceback, and in those of its cause and context.  The exception,
+        its message and its file:line traceback stay; what the frames'
+        locals held (the base that raised, its caches and bitmaps) goes.
+        Frames still executing are left as they are."""
+        pending = [self.exception]
+        seen = set()
+        while pending:
+            exc = pending.pop()
+            if exc is None or id(exc) in seen:
+                continue
+            seen.add(id(exc))
+            traceback.clear_frames(exc.__traceback__)
+            pending += (exc.__cause__, exc.__context__)
+
 
 @dataclass
 class DetectorStats:
@@ -97,7 +114,10 @@ class Detector:
         self.warn_policy = warn_policy
         self.stats = DetectorStats()
         # Bounded: a supervisor lives for millions of ops, and each
-        # DetectedError pins its exception (and traceback) alive.
+        # DetectedError keeps its exception and traceback alive.  Once
+        # handled (see release) the traceback's frames hold no locals, so
+        # an entry costs its exception and file:line chain, not the
+        # filesystem instance that raised it.
         self.history: deque[DetectedError] = deque(maxlen=history_limit)
         self.history_limit = history_limit
 
@@ -120,6 +140,16 @@ class Detector:
         self.stats.count(kind)
         self.history.append(detected)
         return detected
+
+    def release(self, detected: DetectedError) -> None:
+        """The supervisor has handled ``detected`` — a recovery that
+        succeeded or an ignored WARN — and every detection made while it
+        did (a nested recovery's): clear their frames.  Called where the
+        handling started, once every frame it ran has finished."""
+        for entry in reversed(self.history):
+            entry.clear_frames()
+            if entry is detected:
+                break
 
     def should_recover(self, detected: DetectedError) -> bool:
         """WARNs obey the policy; everything else always recovers."""

@@ -56,15 +56,23 @@ def contained_reboot(
         page.dirty = False
     hooks = old_fs.hooks
 
-    # Scrub the distrusted state explicitly (the object is about to be
-    # dropped anyway, but a fenced instance must not be usable by stale
-    # references — _mounted=False makes every subsequent call fail fast).
+    # Scrub the distrusted state explicitly: a fenced instance must not
+    # be usable by stale references (_mounted=False makes every
+    # subsequent call fail fast).
     old_fs.inode_cache.drop_all()
     old_fs.dentry_cache.drop_all()
     old_fs.cache.drop_all()
     old_fs.fd_table.clear()
     old_fs.locks.release_all()
     old_fs._mounted = False
+    # Cut the instance's own reference cycles at their back-references
+    # (the daemon's fs, the journal's bound validator), so reference
+    # counting frees it as soon as its last holder lets go — inside this
+    # stall, not at whichever later collection the cyclic GC runs.  The
+    # subsystems themselves stay: on_reboot callbacks read every
+    # ``*.stats`` object of the instance being replaced.
+    old_fs.writeback.fs = None
+    old_fs.journal.validator = None
 
     new_fs = BaseFilesystem(
         device,

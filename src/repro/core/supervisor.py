@@ -59,7 +59,9 @@ class RAEConfig:
     # breakdown lands in registry histograms).
     profile: bool = True
     # Ring-buffer caps for supervisor-lifetime histories (cumulative
-    # counts are kept separately and never dropped).
+    # counts are kept separately and never dropped).  The detector's cap
+    # bounds bytes too: a handled entry keeps its exception and file:line
+    # traceback, not the frames' locals — so not the base that raised.
     event_history_limit: int = 256
     detector_history_limit: int = 256
     # Flight recorder: an always-on, fixed-cost ring of recent ops that
@@ -265,6 +267,7 @@ class RAEFilesystem(FilesystemAPI):
             if not self.detector.should_recover(detected):
                 raise
             self._recover(detected, inflight=None)
+            self.detector.release(detected)
             self.base.unmount()
         if self.profiler is not None:
             # The device outlives this supervisor; leave no wrappers on it.
@@ -312,6 +315,9 @@ class RAEFilesystem(FilesystemAPI):
                     self._scrub_commit(seq)
             else:
                 outcome = self._recover(detected, inflight=(seq, op))
+            # Handled: the history keeps the exception, not the frames'
+            # locals — which would keep the failed base alive.
+            self.detector.release(detected)
         else:
             if op.is_mutation:
                 self.oplog.record(seq, op, outcome)
@@ -339,6 +345,7 @@ class RAEFilesystem(FilesystemAPI):
                 detected = self.detector.classify(exc, seq=seq, op_name="writeback")
                 if self.detector.should_recover(detected):
                     self._recover(detected, inflight=None)
+                self.detector.release(detected)
 
         if errno is not None:
             raise FsError(errno, f"{name} failed")

@@ -69,8 +69,8 @@ class LayerProfiler:
         self.ops = 0
         self._stack: list[list] = []
         self._op_self: dict[str, float] = {}
-        self._wrapped: list[tuple[object, str, object, bool]] = []
-        self._base_wrapped: list[tuple[object, str, object, bool]] = []
+        self._wrapped: list[tuple[object, str, object, bool, Callable[[], None]]] = []
+        self._base_wrapped: list[tuple[object, str, object, bool, Callable[[], None]]] = []
         self._hists = {
             layer: registry.histogram(
                 f"layer.self.{layer}", lo=_HIST_LO, buckets=_HIST_BUCKETS
@@ -110,14 +110,22 @@ class LayerProfiler:
                 else:
                     self._flush_op()
 
+        def release() -> None:
+            # A traceback the wrapper raised through keeps the wrapper
+            # alive (its frame references the function) after unwrapping;
+            # it must not keep the wrapped object alive with it.
+            nonlocal original
+            original = None
+
         setattr(wrapper, _WRAP_MARKER, True)
         setattr(obj, name, wrapper)
-        records.append((obj, name, original, had_instance_attr))
+        records.append((obj, name, original, had_instance_attr, release))
 
     @staticmethod
     def _unwrap(records: list) -> None:
         while records:
-            obj, name, original, had_instance_attr = records.pop()
+            obj, name, original, had_instance_attr, release = records.pop()
+            release()
             if had_instance_attr:
                 setattr(obj, name, original)
             else:
