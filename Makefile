@@ -3,7 +3,7 @@
 PYTHON ?= python
 PYTHONPATH_SRC = PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: all install lint lint-json lint-github crash-surface sweep sweep-smoke test bench perfbench perfbench-smoke experiments examples verify clean
+.PHONY: all install lint lint-json lint-github sweep sweep-smoke test bench perfbench perfbench-smoke experiments examples verify clean
 
 # Default flow: static analysis first (fast), then the tier-1 suite.
 all: lint test
@@ -23,21 +23,16 @@ lint-json:
 lint-github:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis src/repro --fail-on-findings --format=github
 
-# Regenerate the committed crash-surface catalog (the sweep's
-# work-list).  CI runs this and fails on `git diff` drift, so the
-# catalog can never silently fall behind the code.
-crash-surface:
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.analysis src/repro --emit-crash-surface crashpoints.json
-
-# Execute the full crash-point sweep: every (op, point) pair of the
-# committed catalog, both crash kinds, drift-checked work-list, exit 1
-# on any unsanctioned non-clean outcome (see docs/FAULT_SWEEP.md).
+# Execute the full crash-point sweep: record every scenario's device
+# writes and flushes, crash after each of them under both crash kinds,
+# exit 1 on any non-clean outcome (see docs/FAULT_SWEEP.md).
 sweep:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.sweep
 
-# Bounded sweep for CI: one profile, short workloads, capped case count.
-# Failing tuples write reproducer bundles under sweep-bundles/ which the
-# workflow uploads as artifacts.
+# Bounded sweep for CI: one profile, short workloads, 24 cases spread
+# over every scenario and both crash kinds.  Failing cases write
+# reproducer bundles under sweep-bundles/, which the workflow uploads
+# as artifacts.
 sweep-smoke:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.sweep --smoke --bundle-dir sweep-bundles
 

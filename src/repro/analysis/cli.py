@@ -27,7 +27,6 @@ from repro.analysis.engine import Analyzer
 from repro.analysis.findings import Finding
 from repro.analysis.persistence import PersistenceConfigError
 from repro.analysis.rules import default_rules, rule_families
-from repro.util import atomic_write_json
 
 
 def _github_annotation(finding: Finding, root: Path) -> str:
@@ -96,14 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of the working tree, so CI PR runs scope to the PR's "
         "delta (e.g. --changed-since origin/main)",
     )
-    parser.add_argument(
-        "--emit-crash-surface",
-        default=None,
-        metavar="PATH",
-        help="build the persistence model and write the crash-surface "
-        "catalog (op -> ordered persistence points -> covering hook) as "
-        "schema-checked JSON to PATH, then exit",
-    )
     return parser
 
 
@@ -168,50 +159,6 @@ def _changed_paths(root: Path, since: str | None = None) -> set[str] | None:
     return changed
 
 
-def _emit_crash_surface(root: Path, target: Path) -> int:
-    """Build the persistence model and write the crash-surface catalog.
-
-    Always parses the FULL tree, ignoring ``--changed-only`` and
-    ``--changed-since``: the committed artifact describes a whole-tree
-    surface, and a scoped emission would silently drop every op or point
-    whose code happens to be unchanged — the output must be
-    byte-identical however the run is scoped.
-
-    The write is atomic and validated before it lands, so an interrupted
-    or misconfigured run can never truncate or corrupt the committed
-    ``crashpoints.json`` CI diffs against."""
-    from repro.analysis.persistence import model_for
-    from repro.analysis.persistence.surface import (
-        build_crash_surface,
-        validate_crash_surface,
-    )
-
-    modules, parse_errors = Analyzer(root).parse_all()
-    if parse_errors:
-        for finding in parse_errors:
-            print(finding.render(), file=sys.stderr)
-        return 2
-    try:
-        model = model_for(modules)
-    except PersistenceConfigError as error:
-        print(f"raelint: persistence spec error: {error}", file=sys.stderr)
-        return 2
-    if model is None:
-        print(
-            "raelint: --emit-crash-surface needs a spec/persistence.py in the analyzed tree",
-            file=sys.stderr,
-        )
-        return 2
-    payload = build_crash_surface(model)
-    validate_crash_surface(payload)
-    atomic_write_json(target, payload)
-    print(
-        f"raelint: crash surface: {len(payload['points'])} persistence point(s) "
-        f"across {len(payload['ops'])} op(s) -> {target}"
-    )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -247,12 +194,6 @@ def main(argv: list[str] | None = None) -> int:
     if not root.exists():
         print(f"raelint: no such path: {root}", file=sys.stderr)
         return 2
-
-    # The surface emitter runs before --changed-only is even computed:
-    # the committed artifact is a whole-tree surface, so emission must be
-    # byte-identical however the run is scoped.
-    if args.emit_crash_surface:
-        return _emit_crash_surface(root, Path(args.emit_crash_surface))
 
     only_paths: set[str] | None = None
     if args.changed_since and not args.changed_only:

@@ -5,9 +5,10 @@ Builds an interprocedural model of every call site in ``basefs/``,
 / ``flush`` / journal ``commit``, classified by durability role
 (journal write, commit record, barrier, checkpoint, data write) with
 witness chains — on top of the flow layer's CFGs, dataflow solver and
-call graph.  The FLUSH-BARRIER / PERSIST-ORDER / CRASH-HOOK-COVERAGE
-rules and the ``--emit-crash-surface`` catalog are built on this model;
-see ``docs/STATIC_ANALYSIS.md``.
+call graph.  The FLUSH-BARRIER and PERSIST-ORDER rules are built on
+this model; see ``docs/STATIC_ANALYSIS.md``.  Where the crash sweep
+crashes is not decided here: it records the writes and flushes each
+scenario actually issues (``docs/FAULT_SWEEP.md``).
 """
 
 from repro.analysis.persistence.declared import (
@@ -16,7 +17,6 @@ from repro.analysis.persistence.declared import (
     declared_persistence,
 )
 from repro.analysis.persistence.model import PersistenceModel, PersistPoint, model_for
-from repro.analysis.persistence.surface import build_crash_surface, validate_crash_surface
 
 __all__ = [
     "PersistenceConfigError",
@@ -25,6 +25,4 @@ __all__ = [
     "PersistenceModel",
     "PersistPoint",
     "model_for",
-    "build_crash_surface",
-    "validate_crash_surface",
 ]

@@ -6,7 +6,7 @@ rather than importing the runtime module, so they work on the synthetic
 fixture trees the test suite builds under ``tmp_path`` and are silent on
 trees that declare nothing.
 
-Four literals are recognized:
+Two literals are recognized:
 
 * ``DURABILITY_PROTOCOL`` — ``{function: {"phases": (...), "events":
   {...}}}``: the ordered typestate PERSIST-ORDER enforces per declared
@@ -16,15 +16,12 @@ Four literals are recognized:
 * ``WRITE_SITE_ROLES`` — ``{function: (kind, ...)}``: source-ordered
   roles for raw ``write_block`` sites; undeclared sites default to
   ``checkpoint``.
-* ``CRASH_ENTRY_POINTS`` — ``{op: function}``: crash-surface roots.
-* ``PERSIST_SANCTIONS`` — ``{function: justification}``: argued
-  exemptions from CRASH-HOOK-COVERAGE.
 
 Shape errors (unknown kind, malformed entry) raise
 :class:`PersistenceConfigError` at parse time; binding errors (a name
-that matches no function, a stale sanction) are raised later by the
-model, with the declaration's source line.  Both reach the CLI as exit
-code 2 — configuration errors, never findings.
+that matches no function, a role table of the wrong arity) are raised
+later by the model, with the declaration's source line.  Both reach the
+CLI as exit code 2 — configuration errors, never findings.
 """
 
 from __future__ import annotations
@@ -68,10 +65,6 @@ class PersistenceDecls:
     protocols: dict[str, tuple[tuple[str, ...], dict[str, str]]] = field(default_factory=dict)
     #: function -> source-ordered write_block roles
     site_roles: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: op name -> entry function
-    entry_points: dict[str, str] = field(default_factory=dict)
-    #: function -> argued justification
-    sanctions: dict[str, str] = field(default_factory=dict)
     lines: dict[str, int] = field(default_factory=dict)  # decl key -> source line
 
     def line_of(self, decl: str) -> int:
@@ -185,23 +178,5 @@ def declared_persistence(modules: Sequence[ParsedModule]) -> PersistenceDecls | 
                         where=f"WRITE_SITE_ROLES[{key!r}]",
                     )
                 decls.site_roles[key] = tuple(value)
-                decls.lines[key] = line
-        elif "CRASH_ENTRY_POINTS" in targets:
-            for key, value, line in _literal_entries(module, node, "CRASH_ENTRY_POINTS"):
-                if not isinstance(value, str) or not value:
-                    raise PersistenceConfigError(
-                        module.path, line,
-                        f"CRASH_ENTRY_POINTS[{key!r}] must name an entry function",
-                    )
-                decls.entry_points[key] = value
-                decls.lines[f"entry:{key}"] = line
-        elif "PERSIST_SANCTIONS" in targets:
-            for key, value, line in _literal_entries(module, node, "PERSIST_SANCTIONS"):
-                if not isinstance(value, str) or not value.strip():
-                    raise PersistenceConfigError(
-                        module.path, line,
-                        f"PERSIST_SANCTIONS[{key!r}] must carry a written justification",
-                    )
-                decls.sanctions[key] = value
                 decls.lines[key] = line
     return decls

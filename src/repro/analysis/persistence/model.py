@@ -1,8 +1,9 @@
 """The persistence-effect model: every durability-relevant call site in
 ``basefs/``, ``ondisk/`` and ``blockdev/``, classified and summarized.
 
-The model is the static half of the crash-consistency story.  It answers
-three questions for the consuming rules and the crash-surface catalog:
+The model is the static half of the crash-consistency story (the crash
+sweep, ``docs/FAULT_SWEEP.md``, is the dynamic half).  It answers two
+questions for the consuming rules:
 
 1. **Where are the persistence points?**  Every call site in scope that
    hits the device — ``write_block``, a device ``flush``, a blkmq
@@ -29,13 +30,6 @@ three questions for the consuming rules and the crash-surface catalog:
    the *caller*, with the callee named in the message.  Summaries join
    only **normal**-exit paths: an exception propagates past the call, so
    the caller's continuation never pairs with a callee path that raised.
-
-3. **Can the sweep engine crash there?**  A persistence point is
-   *hook-covered* when its function is reachable (call graph) from a
-   function that fires a fault-injection hook (``*.fire("name")`` on a
-   ``hook``-named receiver) — those are the sites ROADMAP item 3's
-   crash sweep can interrupt.  Uncovered points must carry a
-   ``PERSIST_SANCTIONS`` entry; a stale sanction exits 2.
 
 Declarations that cannot bind to the tree raise
 :class:`PersistenceConfigError` (CLI exit 2), never findings.
@@ -209,8 +203,8 @@ class _PendingRecordAnalysis(DataflowAnalysis):
 
 
 class PersistenceModel:
-    """Classified points, composed summaries, violations and hook
-    coverage for one analyzed tree."""
+    """Classified points, composed summaries and violations for one
+    analyzed tree."""
 
     def __init__(self, modules: Sequence[ParsedModule], decls: PersistenceDecls,
                  context: RuleContext | None = None):
@@ -226,17 +220,11 @@ class PersistenceModel:
         self.points: list[PersistPoint] = []
         self.summaries: dict[str, DefSummary] = {}
         self.violations: list[FlushViolation] = []
-        #: def key -> (hook name, parent key) for hook-reachable defs
-        self._hook_parents: dict[str, tuple[str, str | None]] = {}
-        #: op name -> entry def key
-        self.entries: dict[str, str] = {}
 
         self._bind_declarations()
         self._build_plans()
         self._solve_summaries()
         self._collect_violations()
-        self._compute_coverage()
-        self._check_sanctions()
 
     # -- binding -------------------------------------------------------
 
@@ -255,7 +243,6 @@ class PersistenceModel:
         for table, keys in (
             ("DURABILITY_PROTOCOL", decls.protocols),
             ("WRITE_SITE_ROLES", decls.site_roles),
-            ("PERSIST_SANCTIONS", decls.sanctions),
         ):
             for key in keys:
                 if not self._bound_defs(key):
@@ -264,15 +251,6 @@ class PersistenceModel:
                         f"{table}[{key!r}] names no function in "
                         "basefs/ondisk/blockdev",
                     )
-        for op, target in decls.entry_points.items():
-            bound = self._bound_defs(target)
-            if not bound:
-                raise PersistenceConfigError(
-                    decls.module.path, decls.line_of(f"entry:{op}"),
-                    f"CRASH_ENTRY_POINTS[{op!r}] = {target!r} names no function "
-                    "in basefs/ondisk/blockdev",
-                )
-            self.entries[op] = bound[0].key
 
     # -- classification ------------------------------------------------
 
@@ -466,91 +444,6 @@ class PersistenceModel:
                     origin=origin, site=site, via=via,
                 ))
         self.violations.sort(key=lambda v: (v.path, v.line, v.site, v.origin))
-
-    # -- hook coverage -------------------------------------------------
-
-    def _hook_firing_defs(self) -> list[tuple[str, str]]:
-        """(hook name, def key) for every def whose own body fires a
-        fault-injection hook: ``<...>.fire("name", ...)`` on a receiver
-        whose final name mentions ``hook``."""
-        seeds = []
-        for key, info in sorted(self.graph.defs.items()):
-            for call in self.graph._own_calls(info.node):
-                if _method_name(call) != "fire":
-                    continue
-                receiver = _receiver_final(call)
-                if receiver is None or "hook" not in receiver:
-                    continue
-                if not call.args:
-                    continue
-                first = call.args[0]
-                if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                    seeds.append((first.value, key))
-        return sorted(set(seeds))
-
-    def _compute_coverage(self) -> None:
-        queue: list[str] = []
-        for hook, key in self._hook_firing_defs():
-            if key not in self._hook_parents:
-                self._hook_parents[key] = (hook, None)
-                queue.append(key)
-        while queue:
-            current = queue.pop(0)
-            hook = self._hook_parents[current][0]
-            for callee in sorted(self.graph.edges.get(current, ())):
-                if callee not in self._hook_parents:
-                    self._hook_parents[callee] = (hook, current)
-                    queue.append(callee)
-
-    def covering_hook(self, func_key: str) -> str | None:
-        entry = self._hook_parents.get(func_key)
-        return entry[0] if entry is not None else None
-
-    def hook_chain(self, func_key: str) -> list[str]:
-        """Witness chain from the hook-firing def down to ``func_key``."""
-        chain: list[str] = []
-        cursor: str | None = func_key
-        while cursor is not None:
-            chain.append(cursor)
-            entry = self._hook_parents.get(cursor)
-            cursor = entry[1] if entry is not None else None
-        return list(reversed(chain))
-
-    def sanction_for(self, func_key: str) -> tuple[str, str] | None:
-        """(sanction key, justification) covering ``func_key``, if any."""
-        info = self.graph.defs.get(func_key)
-        if info is None:
-            return None
-        for name in (info.qualname, info.name):
-            if name in self.decls.sanctions:
-                return name, self.decls.sanctions[name]
-        return None
-
-    def uncovered_points(self) -> list[PersistPoint]:
-        """Points not reachable from any fault-injection hook, sanctioned
-        or not (CRASH-HOOK-COVERAGE reports the unsanctioned ones)."""
-        return [p for p in self.points if p.func_key not in self._hook_parents]
-
-    def _check_sanctions(self) -> None:
-        pointful: dict[str, list[PersistPoint]] = {}
-        for point in self.points:
-            pointful.setdefault(point.func_key, []).append(point)
-        for name in sorted(self.decls.sanctions):
-            bound = self._bound_defs(name)
-            with_points = [i for i in bound if i.key in pointful]
-            if not with_points:
-                raise PersistenceConfigError(
-                    self.decls.module.path, self.decls.line_of(name),
-                    f"PERSIST_SANCTIONS[{name!r}] is stale: the function "
-                    "contains no persistence points",
-                )
-            if all(i.key in self._hook_parents for i in with_points):
-                raise PersistenceConfigError(
-                    self.decls.module.path, self.decls.line_of(name),
-                    f"PERSIST_SANCTIONS[{name!r}] is stale: every "
-                    "persistence point in the function is already "
-                    "hook-covered; drop the sanction",
-                )
 
     # -- queries -------------------------------------------------------
 

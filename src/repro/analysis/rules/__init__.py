@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from repro.analysis.engine import Rule
 from repro.analysis.rules.api_parity import ApiParityRule
-from repro.analysis.rules.crash_hook_coverage import CrashHookCoverageRule
 from repro.analysis.rules.effect_contract import EffectContractRule
 from repro.analysis.rules.flush_barrier import FlushBarrierRule
 from repro.analysis.rules.errno_discipline import ErrnoDisciplineRule
@@ -38,7 +37,6 @@ RULE_CLASSES: tuple[type[Rule], ...] = (
     StateProtocolRule,
     FlushBarrierRule,
     PersistOrderRule,
-    CrashHookCoverageRule,
 )
 
 
@@ -74,5 +72,4 @@ __all__ = [
     "StateProtocolRule",
     "FlushBarrierRule",
     "PersistOrderRule",
-    "CrashHookCoverageRule",
 ]

@@ -1,4 +1,4 @@
-"""The declared persistence spec: durability protocols and crash points.
+"""The declared persistence spec: durability protocols and write roles.
 
 The paper's availability argument leans on the journaled base recovering
 to a consistent state after any contained reboot (§2, §4.1).  That only
@@ -10,14 +10,15 @@ studies catalog, and SquirrelFS shows the discipline can be enforced
 statically as a typestate rather than discovered by crash testing
 (PAPERS.md).
 
-raelint's persistence rules (FLUSH-BARRIER, PERSIST-ORDER and
-CRASH-HOOK-COVERAGE, see ``docs/STATIC_ANALYSIS.md``) extract this file
-from its AST, exactly like ``OP_CONTRACTS``: every table must stay a
-pure literal.  A declaration that names a function
-that does not exist in the tree — or a stale sanction for a point that
-is now hook-covered — is a configuration error (raelint exits 2), not a
-finding: a protocol that cannot bind checks nothing, and silently
-skipping it would let this spec rot.
+raelint's persistence rules (FLUSH-BARRIER and PERSIST-ORDER, see
+``docs/STATIC_ANALYSIS.md``) extract this file from its AST, exactly
+like ``OP_CONTRACTS``: every table must stay a pure literal.  A
+declaration that names a function that does not exist in the tree is a
+configuration error (raelint exits 2), not a finding: a protocol that
+cannot bind checks nothing, and silently skipping it would let this
+spec rot.  Where the crash sweep crashes is not declared here: it
+records the writes and flushes each scenario actually issues
+(``docs/FAULT_SWEEP.md``).
 
 Persistence-point kinds (the classification vocabulary):
 
@@ -47,20 +48,6 @@ these automata, including early returns and exceptional edges.
 (the dangerous kind), so mislabeling fails loud.  An entry whose arity
 does not match the function's actual ``write_block`` site count is a
 configuration error.
-
-``CRASH_ENTRY_POINTS`` — ``{op name: entry function}``: the roots the
-crash-surface catalog (``raelint --emit-crash-surface``) walks to
-enumerate *op → ordered persistence points*.  This is the direct input
-work-list for ROADMAP item 3's fault-sweep engine: each (op, point)
-pair is one crash the sweep must schedule.
-
-``PERSIST_SANCTIONS`` — ``{function: argued justification}`` for
-persistence points that are *not* reachable from any
-``VALID_HOOK_NAMES`` fault-injection hook.  CRASH-HOOK-COVERAGE
-requires every point to be hook-reachable (so the sweep engine can
-actually crash there) or sanctioned here with a written argument.  A
-sanction whose every point becomes hook-covered is stale and exits 2 —
-the same ratchet direction as the baseline.
 """
 
 from __future__ import annotations
@@ -104,63 +91,6 @@ WRITE_SITE_ROLES = {
     "BlockMQ._dispatch": ("data-write",),
 }
 
-#: Crash-surface roots: op name -> entry function.  ``raelint
-#: --emit-crash-surface`` walks the call graph from each entry and
-#: emits the ordered persistence points it can reach (ROADMAP item 3's
-#: sweep work-list).
-CRASH_ENTRY_POINTS = {
-    "commit": "BaseFilesystem.commit",
-    "mount": "BaseFilesystem.__init__",
-    "unmount": "BaseFilesystem.unmount",
-    "journal-recover": "JournalManager.recover",
-    "mkfs": "mkfs",
-    "inode-repair": "write_inode",
-    "image-clone": "clone_to_memory",
-    "fault-injection": "FaultyBlockDevice.read_block",
-    "cache-sync": "BufferCache.sync",
-}
-
-#: Function -> argued justification for persistence points that no
-#: fault-injection hook covers.  Each entry is a promise: if the sweep
-#: engine cannot crash there, here is why that is acceptable.  A stale
-#: sanction (every point hook-covered, or the function gone) exits 2.
-PERSIST_SANCTIONS = {
-    # mkfs formats a raw device before any filesystem — and thus any
-    # hook registry — exists; a crash mid-format is indistinguishable
-    # from an unformatted disk and is rejected at mount.
-    "mkfs": "runs before any filesystem object exists; a torn format "
-            "fails superblock validation at mount instead of corrupting "
-            "live state",
-    # fsck's inode-repair library writes to a quiesced device that no
-    # supervisor owns; the sweep targets supervised mounts only.
-    "write_inode": "offline fsck repair primitive on a quiesced device; "
-                   "no supervised mount exists to crash",
-    # Cloning copies into a *fresh in-memory* device; the source device
-    # under supervision is only read.
-    "clone_to_memory": "writes go to the newly created in-memory clone, "
-                       "not the supervised device; a crash discards the "
-                       "clone and leaves the source untouched",
-    # unmount stamps CLEAN only after commit() sealed everything; a
-    # crash between commit and the stamp leaves state DIRTY, which
-    # mount-time journal replay already recovers — the stamp is an
-    # optimization, not a durability step.
-    "BaseFilesystem.unmount": "the clean stamp follows a full commit; "
-                              "crashing before the stamp leaves the DIRTY "
-                              "path that mount-time replay covers",
-    # BufferCache.sync is a bare writeback+flush convenience used by
-    # tools/tests outside the journaled commit path; production commits
-    # go through JournalManager.commit, which is hook-covered.
-    "BufferCache.sync": "test/tool convenience outside the journaled "
-                        "commit path; production writeback happens inside "
-                        "JournalManager.commit under journal.commit",
-    # The fault injector's sticky bit-flip rewrites a block *as the
-    # injected fault itself* — it is the crash source, not a durability
-    # step the sweep needs to interrupt.
-    "FaultyBlockDevice.read_block": "the write is the injected "
-                                    "corruption itself (sticky bit-flip "
-                                    "on read), not a durability step",
-}
-
 #: The closed vocabulary of persistence-point kinds.
 PERSIST_KINDS = (
     "journal-write",
@@ -178,7 +108,3 @@ def protocol_for(name: str) -> tuple[str, ...] | None:
         return None
     return tuple(entry["phases"])
 
-
-def sanction_reason(name: str) -> str | None:
-    """The argued justification for *name*'s sanction, if any."""
-    return PERSIST_SANCTIONS.get(name)

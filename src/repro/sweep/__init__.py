@@ -1,12 +1,20 @@
-"""Crash-point sweep engine over the static crash surface.
+"""Crash-point sweep over the IO each scenario actually issues.
 
-Executes every (op, persistence-point, crash-kind) tuple of the
-committed ``crashpoints.json``, recovers, classifies, and ships
-minimized reproducers for anything that doesn't come back clean.
-See ``docs/FAULT_SWEEP.md``.
+An unarmed run of each scenario records its device writes and flushes;
+the sweep crashes after each of them (fail-stop) and at each durable
+image (power-loss), recovers, classifies, and ships minimized
+reproducers for anything that doesn't come back clean.  See
+``docs/FAULT_SWEEP.md``.
 """
 
-from repro.sweep.device import CRASH_KINDS, FAIL_STOP, POWER_LOSS, SweepDevice
+from repro.sweep.device import (
+    CRASH_KINDS,
+    FAIL_STOP,
+    POWER_LOSS,
+    CrashPoint,
+    SweepDevice,
+    crash_points,
+)
 from repro.sweep.engine import (
     OUTCOME_CLEAN,
     OUTCOME_DIVERGED,
@@ -16,13 +24,12 @@ from repro.sweep.engine import (
     SweepCase,
     SweepConfig,
     SweepEngine,
+    SweepError,
     SweepReport,
     SweepRunResult,
 )
 from repro.sweep.minimize import ddmin
-from repro.sweep.sanctions import SWEEP_SANCTIONS, sanction_for, validate_sanctions
 from repro.sweep.suites import ScratchImage
-from repro.sweep.surface import SurfaceError, SweepPoint, iter_pairs, load_surface
 
 __all__ = [
     "CRASH_KINDS",
@@ -33,19 +40,15 @@ __all__ = [
     "OUTCOME_FAILED",
     "OUTCOME_REPAIRED",
     "OUTCOME_UNREACHED",
-    "SWEEP_SANCTIONS",
+    "CrashPoint",
     "ScratchImage",
-    "SurfaceError",
     "SweepCase",
     "SweepConfig",
     "SweepDevice",
     "SweepEngine",
-    "SweepPoint",
+    "SweepError",
     "SweepReport",
     "SweepRunResult",
+    "crash_points",
     "ddmin",
-    "iter_pairs",
-    "load_surface",
-    "sanction_for",
-    "validate_sanctions",
 ]

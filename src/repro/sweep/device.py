@@ -1,145 +1,138 @@
-"""The sweep's crash trigger: a device wrapper keyed to ``file:line``.
+"""The sweep's crash trigger: a device wrapper that counts calls.
 
-The static catalog names persistence points as device-call sites
-(``ondisk/journal.py:181`` and so on).  To crash *exactly there*,
-:class:`SweepDevice` wraps the scenario's real device and, on every
-read/write/flush, checks whether the armed point's call site is the
-direct caller **and** the armed op's entry function is on the stack
-(``commit`` points must not fire during ``unmount``'s inner commit run
-and vice versa — each (op, point) tuple is its own run).  On a match it
-fires the ordinary ``blkmq.submit`` fault hook with a ``persist_ref``
-context key; the crash itself is delivered by a :class:`BugSpec` armed
-through the existing :class:`~repro.faults.injector.Injector`, so the
-sweep exercises the same detection/recovery machinery as every curated
-catalog bug.
+A crash point is one call in the scenario's device trace, named by
+``(call, block, occurrence)``: "the 3rd flush", "the 2nd write to block
+37".  :class:`SweepDevice` wraps the scenario's real device and counts
+writes and flushes per ``(call, block)``.  Unarmed, it records the
+trace the work-list is built from; armed, it crashes once, right after
+the named call completes, and stays quiet after that (recovery's
+contained reboot re-mounts on the same device, and a re-fire would
+escalate the case into nested recovery).  Counting starts at
+:meth:`SweepDevice.record` or :meth:`SweepDevice.arm`, so set-up IO
+made before them (the supervised mount) is neither recorded nor
+counted.  Reads are passed through uncounted: they change no image.
 
 Two crash kinds:
 
-* ``fail-stop`` — the device call completes, then the hook fires (a
-  kernel bug after the IO; the volatile image survives, testing the
-  RAE runtime-error recovery story);
-* ``power-loss`` — the hook fires *before* the call and, when the
-  armed bug raises, the inner device's ``crash()`` discards every
-  unflushed write (testing the journal's crash-consistency story).
+* ``fail-stop`` — raise :class:`~repro.errors.KernelBug` after the
+  call (a kernel bug after the IO; the volatile image survives, testing
+  the RAE runtime-error recovery story);
+* ``power-loss`` — drop every unflushed write of the inner device, then
+  raise (testing the journal's crash-consistency story).
 """
 
 from __future__ import annotations
 
-import sys
+from typing import NamedTuple
 
 from repro.blockdev.device import BlockDevice
 from repro.errors import KernelBug
-from repro.sweep.surface import SweepPoint
 
 FAIL_STOP = "fail-stop"
 POWER_LOSS = "power-loss"
 CRASH_KINDS = (FAIL_STOP, POWER_LOSS)
 
+WRITE = "write"
+FLUSH = "flush"
+
+
+class CrashPoint(NamedTuple):
+    """One device call of a trace: the ``occurrence``-th ``call`` to
+    ``block`` (``-1`` for a flush) since counting started."""
+
+    call: str
+    block: int
+    occurrence: int
+
+    def describe(self) -> str:
+        if self.call == FLUSH:
+            return f"flush #{self.occurrence}"
+        return f"write #{self.occurrence} to block {self.block}"
+
+
+def crash_points(trace: list[CrashPoint], crash_kind: str) -> list[CrashPoint]:
+    """The points of ``trace`` worth crashing at under ``crash_kind``.
+
+    Fail-stop crashes after every write and every flush.  A power loss
+    drops every unflushed write, so it is taken once per durable image:
+    after each write whose next call is a flush (the image that flush
+    would replace) and after the last write of an unflushed tail.
+    """
+    if crash_kind == FAIL_STOP:
+        return list(trace)
+    return [
+        point
+        for point, after in zip(trace, trace[1:] + [None])
+        if point.call == WRITE and (after is None or after.call == FLUSH)
+    ]
+
 
 class SweepDevice(BlockDevice):
-    """Wrap ``inner``, firing the fault hook at the armed crash point."""
+    """Wrap ``inner``; record its write/flush trace or crash at one call."""
 
-    def __init__(self, inner: BlockDevice, hooks):
+    def __init__(self, inner: BlockDevice):
         super().__init__(inner.block_size, inner.block_count)
         self.inner = inner
-        self.hooks = hooks
-        self.point: SweepPoint | None = None
-        self.crash_kind: str = FAIL_STOP
-        self.matches = 0  # site matches seen (fired or not)
+        self.trace: list[CrashPoint] | None = None
+        self.point: CrashPoint | None = None
+        self.crash_kind = FAIL_STOP
+        self.fired = False
+        self._seen: dict[tuple[str, int], int] = {}
 
-    def arm_point(self, point: SweepPoint, crash_kind: str = FAIL_STOP) -> None:
+    def record(self) -> None:
+        """Start counting, appending every write and flush to ``trace``."""
+        self.trace = []
+        self._seen = {}
+
+    def arm(self, point: CrashPoint, crash_kind: str = FAIL_STOP) -> None:
+        """Start counting; crash once, right after ``point``."""
         if crash_kind not in CRASH_KINDS:
             raise ValueError(f"unknown crash kind {crash_kind!r}")
         self.point = point
         self.crash_kind = crash_kind
+        self.fired = False
+        self._seen = {}
 
-    def disarm_point(self) -> None:
+    def disarm(self) -> None:
         self.point = None
+        self.trace = None
 
-    # ------------------------------------------------------------------
-    # stack matching
+    def _after(self, call: str, block: int) -> None:
+        if self.point is None and self.trace is None:
+            return
+        occurrence = self._seen.get((call, block), 0) + 1
+        self._seen[(call, block)] = occurrence
+        here = CrashPoint(call, block, occurrence)
+        if self.trace is not None:
+            self.trace.append(here)
+        if here == self.point and not self.fired:
+            self.fired = True
+            self._fire()
 
-    def _matched(self) -> bool:
-        """True when the armed point's call site is live on the stack
-        and the armed op's entry function is somewhere above it.
-
-        Usually the catalog's witness line is the direct device call
-        (frame 2), but some persistence sites delegate — e.g. the
-        journal manager's home writes go ``cache.writeback(block)`` →
-        ``device.write_block``, so the site's frame sits one level up,
-        parked exactly on the catalog line.  Walking the stack covers
-        both shapes; pure submission sites whose device effect is
-        deferred past the site's lifetime (blk-mq enqueues drained
-        later) cannot match and carry sanctions instead.
-        """
-        point = self.point
-        if point is None:
-            return False
-        # Frame 0 = _matched, 1 = our read/write/flush, 2 = the caller.
-        site = sys._getframe(2)
-        while site is not None:
-            if site.f_lineno == point.line and site.f_code.co_filename.endswith(point.path):
-                break
-            site = site.f_back
-        if site is None:
-            return False
-        entry_name = point.entry.rpartition(".")[2]
-        frame = site
-        while frame is not None:
-            code = frame.f_code
-            if code.co_name == entry_name and code.co_filename.endswith(point.entry_path):
-                self.matches += 1
-                return True
-            frame = frame.f_back
-        return False
-
-    def _fire(self, block: int) -> None:
-        assert self.point is not None
-        self.hooks.fire("blkmq.submit", op="sweep", block=block, persist_ref=self.point.ref)
-
-    def _fire_power_loss(self, block: int) -> None:
-        try:
-            self._fire(block)
-        except KernelBug:
-            # The write/flush never happened AND volatile state is gone:
-            # drop the inner device to its last durable image before the
-            # failure propagates, so recovery sees what a real power
-            # loss would leave on the platter.
-            crash = getattr(self.inner, "crash", None)
-            if crash is not None:
-                crash()
-            raise
+    def _fire(self) -> None:
+        if self.crash_kind == POWER_LOSS:
+            # The machine is gone with its volatile state: drop the inner
+            # device to its last durable image before the failure
+            # propagates, so recovery sees what a real power loss leaves.
+            self.inner.crash()
+        raise KernelBug(f"sweep crash after {self.point.describe()} [{self.crash_kind}]")
 
     # ------------------------------------------------------------------
     # BlockDevice
 
     def read_block(self, block: int) -> bytes:
-        armed = self.point is not None and self._matched()
-        if armed and self.crash_kind == POWER_LOSS:
-            self._fire_power_loss(block)
-        data = self.inner.read_block(block)
         self.io_stats.reads += 1
-        if armed and self.crash_kind == FAIL_STOP:
-            self._fire(block)
-        return data
+        return self.inner.read_block(block)
 
     def write_block(self, block: int, data: bytes) -> None:
-        armed = self.point is not None and self._matched()
-        if armed and self.crash_kind == POWER_LOSS:
-            self._fire_power_loss(block)
         self.inner.write_block(block, data)
         self.io_stats.writes += 1
-        if armed and self.crash_kind == FAIL_STOP:
-            self._fire(block)
+        self._after(WRITE, block)
 
     def flush(self) -> None:
-        armed = self.point is not None and self._matched()
-        if armed and self.crash_kind == POWER_LOSS:
-            self._fire_power_loss(-1)
         self.inner.flush()
         self.io_stats.flushes += 1
-        if armed and self.crash_kind == FAIL_STOP:
-            self._fire(-1)
+        self._after(FLUSH, -1)
 
     def close(self) -> None:
         self.inner.close()

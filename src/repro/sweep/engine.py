@@ -1,70 +1,76 @@
 """The crash-point sweep engine.
 
-ROADMAP item 3, executed: for every (op, point) pair of the committed
-``crashpoints.json`` (PR 7's static crash surface), run a generated
-workload, crash at exactly that persistence point — under both crash
-kinds — recover, and classify the outcome:
+The work-list comes from the device.  For every (scenario, profile,
+crash kind), one unarmed run records the writes and flushes the
+scenario issues on its swept device (:class:`~repro.sweep.device.SweepDevice`);
+that run is also the scenario's reference run.  Every point of the
+trace worth crashing at (:func:`~repro.sweep.device.crash_points`)
+becomes one case: re-run the scenario, crash right after that call,
+recover, and classify the outcome:
 
 * ``recovered-clean``  — recovery + fsck + spec equivalence all pass;
 * ``repaired``         — fsck found damage that ``repair_image`` fixed;
-* ``diverged``         — recovered state differs from the no-crash
-  reference run (or an offline invariant broke);
+* ``diverged``         — recovered state differs from the reference
+  run (or an offline invariant broke);
 * ``recovery-failed``  — recovery/fsck/repair could not produce a
   mountable, consistent image;
-* ``unreached``        — the armed point never fired in any run of the
-  tuple (needs a sanction: a work-list entry the sweep cannot execute
-  is coverage the catalog over-promises).
+* ``unreached``        — the recorded call never came when armed: the
+  scenario is not deterministic, which is a failure like the others.
 
-Every tuple is deterministic under the single sweep seed: workload and
-injector sub-seeds are derived by hashing the case identity, so a
-failing tuple replays byte-identically from its bundle's recorded
-parameters.  Failing workload-driven cases are delta-minimized
-(:mod:`repro.sweep.minimize`) and shipped as PR 5 forensic bundles.
+Every case is deterministic under the single sweep seed: the workload
+sub-seed is derived by hashing the (profile) identity, so a failing
+case replays byte-identically from its bundle's recorded parameters.
+Failing ``workload`` cases are delta-minimized
+(:mod:`repro.sweep.minimize`) and shipped as forensic bundles.
 
-Scenario shapes per crash-entry op:
+Scenarios:
 
-* ``commit``/``unmount`` — supervised (RAE) workload for fail-stop,
-  judged by spec equivalence against the no-crash reference run plus
-  fsck; bare :class:`BaseFilesystem` for power-loss, judged by
+* ``workload`` — a generated workload with a commit cadence, a tail
+  mutation and an unmount.  Fail-stop runs it supervised (RAE) and
+  judges by spec equivalence against the reference run plus fsck;
+  power-loss runs the bare :class:`BaseFilesystem` and judges by
   remount + fsck (a real power cut loses the supervisor's op log, so
   the journal's crash consistency is the whole contract).
 * ``mount``/``journal-recover`` — crash while recovering a dirty
   image; verdict: a second mount converges to the reference state
   (replay is idempotent, so this holds for both crash kinds).
 * ``mkfs`` — torn format; verdict: re-format yields a clean fs.
-* ``inode-repair``/``image-clone``/``fault-injection``/``cache-sync``
-  — offline tooling crashes; verdict: retry is idempotent, the source
-  image is unharmed, and fsck stays clean.
+* ``inode-repair``/``fault-injection``/``cache-sync`` — offline
+  tooling crashes; verdict: retry is idempotent and fsck stays clean.
 """
 
 from __future__ import annotations
 
+import traceback
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from repro.api import FsOp, OpenFlags
 from repro.basefs.filesystem import BaseFilesystem
-from repro.basefs.hooks import HookPoints
 from repro.basefs.journal_mgr import JournalManager
 from repro.blockdev.cache import BufferCache
 from repro.blockdev.device import MemoryBlockDevice
 from repro.blockdev.faults import DeviceFaultPlan, FaultyBlockDevice
 from repro.core.supervisor import RAEConfig, RAEFilesystem
 from repro.errors import KernelBug, RecoveryFailure
-from repro.faults.catalog import BugSpec, Consequence, Determinism
-from repro.faults.injector import Injector
 from repro.fsck.checker import Fsck
 from repro.fsck.repairs import repair_image
 from repro.obs import CrossCheckCapture, build_bundle
-from repro.ondisk.image import clone_to_memory, read_inode, write_inode
+from repro.ondisk.image import read_inode, write_inode
 from repro.ondisk.mkfs import mkfs
 from repro.ondisk.superblock import Superblock
 from repro.spec.equivalence import FsState, capture_state, states_equivalent
-from repro.sweep.device import CRASH_KINDS, FAIL_STOP, POWER_LOSS, SweepDevice
+from repro.sweep.device import (
+    CRASH_KINDS,
+    FAIL_STOP,
+    POWER_LOSS,
+    CrashPoint,
+    SweepDevice,
+    crash_points,
+)
 from repro.sweep.minimize import ddmin
-from repro.sweep.sanctions import sanction_for, validate_sanctions
 from repro.sweep.suites import ScratchImage
-from repro.sweep.surface import SweepPoint, iter_pairs, load_surface
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.profiles import (
     Profile,
@@ -80,9 +86,6 @@ OUTCOME_DIVERGED = "diverged"
 OUTCOME_FAILED = "recovery-failed"
 OUTCOME_UNREACHED = "unreached"
 
-#: Most severe first; per-tuple aggregation keeps the worst run.
-_SEVERITY = (OUTCOME_FAILED, OUTCOME_DIVERGED, OUTCOME_REPAIRED, OUTCOME_CLEAN)
-
 PROFILES: dict[str, object] = {
     "fileserver": fileserver_profile,
     "varmail": varmail_profile,
@@ -91,67 +94,58 @@ PROFILES: dict[str, object] = {
 }
 
 #: Commit-cadence file: fsyncing it is the supervised run's stand-in
-#: for the reference run's direct fs.commit() calls.
+#: for the bare run's direct fs.commit() calls.
 _SYNC_FILE = "/.sweep-sync"
 
-#: Ops whose scenario is driven by a generated workload stream (the
-#: remaining ops run offline against a prebuilt image; sweeping them
-#: once per crash kind is enough).
-_WORKLOAD_OPS = frozenset({"commit", "unmount", "mount", "journal-recover"})
+#: Scenarios whose input is a generated workload stream, swept once per
+#: profile (the others run offline against a prebuilt image; one
+#: profile is enough).
+_WORKLOAD_OPS = frozenset({"workload", "mount", "journal-recover"})
 
-#: Ops whose failing cases the minimizer can shrink (the op stream is
-#: the scenario input; mount/journal-recover only consume its image).
-_MINIMIZABLE_OPS = frozenset({"commit", "unmount"})
+
+class SweepError(Exception):
+    """A scenario's unarmed run failed: there is no trace to sweep."""
 
 
 @dataclass
 class SweepConfig:
-    surface_path: str = "crashpoints.json"
-    src_root: str | None = "src/repro"
-    check_drift: bool = True
     seed: int = 0
     profiles: tuple[str, ...] = ("fileserver", "varmail")
     nops: int = 20
     block_count: int = 1024
     #: Small enough that a multi-commit workload wraps the journal (the
-    #: reset/reinit points fire), large enough for one cadence window.
+    #: reset/reinit writes happen), large enough for one cadence window.
     journal_blocks: int = 16
     #: Commit every N workload ops — bounds transaction size below the
     #: small journal and puts a durability point mid-stream.
     commit_every: int = 6
     crash_kinds: tuple[str, ...] = CRASH_KINDS
-    ops: tuple[str, ...] | None = None    # filter: only these entry ops
-    refs: tuple[str, ...] | None = None   # filter: only these point refs
-    max_cases: int | None = None          # smoke cap, applied after filters
+    ops: tuple[str, ...] | None = None    # filter: only these scenarios
+    #: Smoke cap, applied after filters: an evenly spaced slice of every
+    #: (scenario, crash kind) group.
+    max_cases: int | None = None
     minimize: bool = True
     minimize_max_tests: int = 64
-    bundle_dir: str | None = None
 
 
 @dataclass(frozen=True)
 class SweepCase:
-    """One (workload, op, point, crash-kind) run, fully parameterized."""
+    """One (scenario, profile, crash kind, trace point) run, fully
+    parameterized."""
 
-    point: SweepPoint
+    op: str
     crash_kind: str
     profile: str
+    point: CrashPoint | None  # None: the unarmed recording run
     nops: int
     workload_seed: int
-    injector_seed: int
     block_count: int
     journal_blocks: int
 
-    @property
-    def op(self) -> str:
-        return self.point.op
-
-    @property
-    def ref(self) -> str:
-        return self.point.ref
-
     def ident(self) -> str:
+        where = self.point.describe() if self.point is not None else "unarmed"
         return (
-            f"{self.op} @ {self.ref} [{self.crash_kind}]"
+            f"{self.op} @ {where} [{self.crash_kind}]"
             + (f" profile={self.profile}" if self.op in _WORKLOAD_OPS else "")
         )
 
@@ -159,15 +153,13 @@ class SweepCase:
         """Everything needed to replay this exact run (bundle payload)."""
         return {
             "op": self.op,
-            "ref": self.ref,
-            "persist_kind": self.point.kind,
-            "entry": self.point.entry,
-            "entry_path": self.point.entry_path,
             "crash_kind": self.crash_kind,
             "profile": self.profile,
+            "call": self.point.call,
+            "block": self.point.block,
+            "occurrence": self.point.occurrence,
             "nops": self.nops,
             "workload_seed": self.workload_seed,
-            "injector_seed": self.injector_seed,
             "block_count": self.block_count,
             "journal_blocks": self.journal_blocks,
         }
@@ -180,43 +172,79 @@ class SweepRunResult:
     fired: bool
     detail: str = ""
     bundle: dict | None = None
-    minimized_ops: list[str] | None = None
+    minimized_ops: list[FsOp] | None = None
     image: bytes | None = None  # final durable image (reproducibility checks)
 
 
 @dataclass
 class SweepReport:
     results: list[SweepRunResult] = field(default_factory=list)
-    #: (op, ref, crash_kind) -> aggregated outcome (worst run; unreached
-    #: only when no run of the tuple fired).
-    pair_outcomes: dict[tuple[str, str, str], str] = field(default_factory=dict)
-    unsanctioned: list[tuple[tuple[str, str, str], str, str]] = field(default_factory=list)
-    stale_sanctions: list[tuple[str, str, str]] = field(default_factory=list)
     reproducers: list[dict] = field(default_factory=list)
 
     @property
+    def failures(self) -> list[SweepRunResult]:
+        return [result for result in self.results if result.outcome != OUTCOME_CLEAN]
+
+    @property
     def clean(self) -> bool:
-        return not self.unsanctioned and not self.stale_sanctions
+        return not self.failures
 
     def outcome_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for outcome in self.pair_outcomes.values():
-            counts[outcome] = counts.get(outcome, 0) + 1
+        for result in self.results:
+            counts[result.outcome] = counts.get(result.outcome, 0) + 1
         return counts
 
 
+@dataclass
+class _Stage:
+    """One scenario instance, set up and ready to be swept.
+
+    ``dev`` wraps the device the crash lands on; building the stage did
+    whatever must not be crashed (a supervised mount).  ``work`` is what
+    the crash interrupts.  ``settle(crashed)`` finishes after it — a
+    retry, a re-format — and returns an ``(outcome, detail)`` when that
+    already decides the case.  ``compare`` says whether the remounted
+    state must equal the reference run's.
+    """
+
+    dev: SweepDevice
+    work: Callable[[], None]
+    settle: Callable[[bool], tuple[str, str] | None] = lambda crashed: None
+    compare: bool = True
+    bundle: Callable[[], dict | None] = lambda: None
+
+
 def _sub_seed(sweep_seed: int, *parts) -> int:
-    """A deterministic 31-bit sub-seed.  crc32 of the case identity —
-    never Python's ``hash()``, which is salted per process."""
+    """A deterministic 31-bit sub-seed.  crc32 of the identity — never
+    Python's ``hash()``, which is salted per process."""
     key = ":".join(str(part) for part in parts)
     return zlib.crc32(f"{sweep_seed}:{key}".encode()) & 0x7FFFFFFF
+
+
+def _spread(cases: list[SweepCase], cap: int) -> list[SweepCase]:
+    """At most ``cap`` cases, shared out evenly over the (scenario,
+    crash kind) groups and evenly spaced along each group's trace."""
+    groups: dict[tuple[str, str], list[SweepCase]] = {}
+    for case in cases:
+        groups.setdefault((case.op, case.crash_kind), []).append(case)
+    share = dict.fromkeys(groups, 0)
+    while cap > 0 and any(share[key] < len(group) for key, group in groups.items()):
+        for key, group in groups.items():
+            if cap > 0 and share[key] < len(group):
+                share[key] += 1
+                cap -= 1
+    return [
+        group[index * len(group) // share[key]]
+        for key, group in groups.items()
+        for index in range(share[key])
+    ]
 
 
 def _tail_mutation(fs) -> None:
     """Dirty the sync file just before unmount.  Without this, the last
     cadence sync may leave nothing to commit and unmount's final commit
-    takes the empty-transaction early return — the journal persistence
-    points would be unreachable under the ``unmount`` entry."""
+    takes the empty-transaction early return, issuing no journal IO."""
     fd = fs.open(_SYNC_FILE, OpenFlags.CREAT)
     fs.write(fd, b"sweep tail mutation")
     fs.close(fd)
@@ -226,7 +254,7 @@ def _sync_point(fs, commit) -> None:
     """One commit-cadence step: touch the sync file, make it durable,
     release the fd (transient, so it never collides with the workload's
     generated fd numbering).  ``commit`` is the base filesystem's direct
-    commit for reference runs; None means fsync through the target's own
+    commit for bare runs; None means fsync through the target's own
     API — the supervised path.
     """
     fd = fs.open(_SYNC_FILE, OpenFlags.CREAT)
@@ -237,94 +265,69 @@ def _sync_point(fs, commit) -> None:
     fs.close(fd)
 
 
-def _crash_spec(ref: str) -> BugSpec:
-    """The armed crash: fires once, at exactly this persistence point.
-
-    ``max_fires=1`` matters — recovery's contained reboot re-executes
-    the same persistence points on the same hooks object, and a re-fire
-    mid-recovery would escalate every case into the nested-recovery
-    give-up path instead of testing the point under sweep.
-    """
-    return BugSpec(
-        bug_id=f"sweep:{ref}",
-        title=f"sweep crash at {ref}",
-        hook="blkmq.submit",
-        determinism=Determinism.DETERMINISTIC,
-        consequence=Consequence.CRASH,
-        trigger=lambda ctx: ctx.get("persist_ref") == ref,
-        max_fires=1,
-        tags={"sweep"},
-    )
-
-
 class SweepEngine:
     def __init__(self, config: SweepConfig | None = None):
         self.config = config or SweepConfig()
         self._scratch = ScratchImage(self.config.block_count, self.config.journal_blocks)
         self._image_cache: dict[tuple, bytes] = {}
-        self._state_cache: dict[tuple, FsState] = {}
+        #: unarmed case -> (trace, reference state)
+        self._recordings: dict[SweepCase, tuple[list[CrashPoint], FsState | None]] = {}
 
     # ------------------------------------------------------------------
     # enumeration
 
-    def load_pairs(self) -> list[SweepPoint]:
-        payload = load_surface(
-            self.config.surface_path,
-            src_root=self.config.src_root,
-            check_drift=self.config.check_drift,
-        )
-        pairs = iter_pairs(payload)
-        if self.config.ops is not None:
-            pairs = [p for p in pairs if p.op in self.config.ops]
-        if self.config.refs is not None:
-            pairs = [p for p in pairs if p.ref in self.config.refs]
-        return pairs
+    def scenarios(self) -> list[str]:
+        wanted = self.config.ops
+        if wanted is None:
+            return list(SCENARIOS)
+        unknown = sorted(set(wanted) - set(SCENARIOS))
+        if unknown:
+            raise ValueError(f"unknown sweep scenario(s) {unknown}; known: {list(SCENARIOS)}")
+        return [op for op in SCENARIOS if op in wanted]
 
-    def build_cases(self, pairs: list[SweepPoint]) -> list[SweepCase]:
+    def build_cases(self) -> list[SweepCase]:
+        """Record each (scenario, crash kind, profile) trace and turn
+        every point worth crashing at into a case."""
         config = self.config
         cases: list[SweepCase] = []
-        for pair in pairs:
-            profiles = config.profiles if pair.op in _WORKLOAD_OPS else config.profiles[:1]
+        for op in self.scenarios():
+            profiles = config.profiles if op in _WORKLOAD_OPS else config.profiles[:1]
             for crash_kind in config.crash_kinds:
                 for profile in profiles:
-                    cases.append(SweepCase(
-                        point=pair,
+                    unarmed = SweepCase(
+                        op=op,
                         crash_kind=crash_kind,
                         profile=profile,
+                        point=None,
                         nops=config.nops,
-                        workload_seed=_sub_seed(
-                            config.seed, pair.op, pair.ref, crash_kind, profile, "workload"
-                        ),
-                        injector_seed=_sub_seed(
-                            config.seed, pair.op, pair.ref, crash_kind, profile, "injector"
-                        ),
+                        workload_seed=_sub_seed(config.seed, profile, "workload"),
                         block_count=config.block_count,
                         journal_blocks=config.journal_blocks,
-                    ))
+                    )
+                    trace, _ = self._recording(unarmed)
+                    cases.extend(
+                        replace(unarmed, point=point)
+                        for point in crash_points(trace, crash_kind)
+                    )
         if config.max_cases is not None:
-            cases = cases[: config.max_cases]
+            cases = _spread(cases, config.max_cases)
         return cases
+
+    def trace_of(self, case: SweepCase) -> list[CrashPoint]:
+        """The recorded write/flush trace ``case`` crashes into."""
+        return self._recording(replace(case, point=None))[0]
 
     @staticmethod
     def case_from_params(params: dict) -> SweepCase:
         """Rebuild a case from a reproducer bundle's recorded parameters
         — the replay side of sweep reproducibility."""
-        point = SweepPoint(
-            op=params["op"],
-            ref=params["ref"],
-            kind=params["persist_kind"],
-            path=params["ref"].rpartition(":")[0],
-            line=int(params["ref"].rpartition(":")[2]),
-            entry=params["entry"],
-            entry_path=params["entry_path"],
-        )
         return SweepCase(
-            point=point,
+            op=params["op"],
             crash_kind=params["crash_kind"],
             profile=params["profile"],
+            point=CrashPoint(params["call"], int(params["block"]), int(params["occurrence"])),
             nops=int(params["nops"]),
             workload_seed=int(params["workload_seed"]),
-            injector_seed=int(params["injector_seed"]),
             block_count=int(params["block_count"]),
             journal_blocks=int(params["journal_blocks"]),
         )
@@ -341,9 +344,6 @@ class SweepEngine:
 
     def _workload_ops(self, case: SweepCase) -> list[FsOp]:
         return WorkloadGenerator(self._profile(case.profile), seed=case.workload_seed).ops(case.nops)
-
-    def _scratch_device(self) -> MemoryBlockDevice:
-        return self._scratch.setup()
 
     def _device_from(self, image: bytes) -> MemoryBlockDevice:
         mem = MemoryBlockDevice(block_count=self.config.block_count, track_durability=True)
@@ -366,7 +366,7 @@ class SweepEngine:
         the starting point for the offline-tool scenarios."""
         key = ("clean", case.profile, case.workload_seed, case.nops)
         if key not in self._image_cache:
-            mem = self._scratch_device()
+            mem = self._scratch.setup()
             fs = BaseFilesystem(mem)
             self._apply_all(fs, self._workload_ops(case), sync=fs.commit)
             fs.unmount()
@@ -378,7 +378,7 @@ class SweepEngine:
         a sealed transaction — for the mount/journal-recover scenarios."""
         key = ("dirty", case.profile, case.workload_seed, case.nops)
         if key not in self._image_cache:
-            mem = self._scratch_device()
+            mem = self._scratch.setup()
             fs = BaseFilesystem(mem)
             ops = self._workload_ops(case)
             split = max(1, len(ops) * 2 // 3)
@@ -388,28 +388,6 @@ class SweepEngine:
             # No unmount: the volatile image *is* the crashed disk state.
             self._image_cache[key] = mem.snapshot()
         return self._image_cache[key]
-
-    def _image_state(self, image_key: tuple, image: bytes) -> FsState:
-        """The logical state a clean mount of ``image`` converges to."""
-        if image_key not in self._state_cache:
-            mem = self._device_from(image)
-            fs = BaseFilesystem(mem)
-            self._state_cache[image_key] = capture_state(fs)
-        return self._state_cache[image_key]
-
-    def _reference_state(self, case: SweepCase, ops: list[FsOp]) -> FsState:
-        """The no-crash run: the exact supervised execution with nothing
-        armed — same geometry, same ops, same sync cadence, same opseq
-        assignment — so spec equivalence compares identical histories
-        (a bare BaseFilesystem run would diverge on supervisor-assigned
-        timestamps alone)."""
-        mem = self._scratch_device()
-        rae = RAEFilesystem(mem, config=RAEConfig(metrics=False, flight=False))
-        self._apply_all(rae, ops, sync=lambda: _sync_point(rae, None))
-        _tail_mutation(rae)
-        rae.unmount()
-        fs = BaseFilesystem(mem)
-        return capture_state(fs)
 
     def _remount_verdict(
         self, mem: MemoryBlockDevice, reference: FsState | None
@@ -453,293 +431,193 @@ class SweepEngine:
                 return OUTCOME_DIVERGED, str(eq)
         return (OUTCOME_REPAIRED if repaired else OUTCOME_CLEAN), detailed
 
-    def _result(
-        self,
-        case: SweepCase,
-        outcome: str,
-        fired: bool,
-        detail: str = "",
-        bundle: dict | None = None,
-        image: bytes | None = None,
-    ) -> SweepRunResult:
+    @staticmethod
+    def _execute(stage: _Stage) -> tuple[bool, str]:
+        """Run the stage's work; (whether a crash cut it short, the
+        recovery failure text if recovery gave up)."""
+        try:
+            stage.work()
+        except KernelBug:
+            return True, ""  # the sweep's own crash, not caught by a supervisor
+        except RecoveryFailure as failure:
+            return True, f"{failure.phase or 'unknown'}: {failure}"
+        except Exception as exc:  # raelint: disable=ERRNO-DISCIPLINE — verdict boundary: anything else escaping the scenario is a sweep finding
+            origin = traceback.extract_tb(exc.__traceback__)[-1]
+            return True, f"escaped the scenario: {exc!r} from {origin.name}:{origin.lineno}"
+        finally:
+            stage.dev.disarm()
+        return False, ""
+
+    def _recording(
+        self, unarmed: SweepCase, ops: list[FsOp] | None = None
+    ) -> tuple[list[CrashPoint], FsState | None]:
+        """The unarmed run: its write/flush trace and the reference
+        state it leaves (None where the verdict does not compare).
+        Cached per case unless ``ops`` overrides the workload."""
+        if ops is None and unarmed in self._recordings:
+            return self._recordings[unarmed]
+        stage = self._stage(unarmed, ops)
+        stage.dev.record()
+        trace = stage.dev.trace
+        crashed, failure = self._execute(stage)
+        if crashed:
+            raise SweepError(f"unarmed run {unarmed.ident()} did not complete: {failure}")
+        stage.settle(False)
+        reference = capture_state(BaseFilesystem(stage.dev.inner)) if stage.compare else None
+        if ops is None:
+            self._recordings[unarmed] = (trace, reference)
+        return trace, reference
+
+    def _result(self, case: SweepCase, outcome: str, fired: bool, detail: str = "",
+                bundle: dict | None = None, image: bytes | None = None) -> SweepRunResult:
         return SweepRunResult(
-            case=case, outcome=outcome, fired=fired, detail=detail,
-            bundle=bundle, image=image,
+            case=case, outcome=outcome, fired=fired, detail=detail, bundle=bundle, image=image,
         )
+
+    # ------------------------------------------------------------------
+    # running one case
+
+    def _stage(self, case: SweepCase, ops: list[FsOp] | None) -> _Stage:
+        return SCENARIOS[case.op](self, case, ops)
+
+    def run_case(self, case: SweepCase, ops: list[FsOp] | None = None) -> SweepRunResult:
+        """Crash ``case`` at its point and classify the recovery.
+        ``ops`` overrides the generated workload (the minimizer's
+        candidates); a candidate whose run never makes the recorded
+        call comes back ``unreached``."""
+        _, reference = self._recording(replace(case, point=None), ops)
+        stage = self._stage(case, ops)
+        mem = stage.dev.inner
+        stage.dev.arm(case.point, case.crash_kind)
+        crashed, failure = self._execute(stage)
+        fired = stage.dev.fired
+        if failure:
+            return self._result(
+                case, OUTCOME_FAILED, fired, detail=failure,
+                bundle=stage.bundle(), image=mem.snapshot(),
+            )
+        if not fired:
+            return self._result(
+                case, OUTCOME_UNREACHED, False,
+                detail=f"{case.point.describe()} never happened",
+            )
+        settled = stage.settle(crashed)
+        if settled is not None:
+            return self._result(case, *settled, fired=True)
+        outcome, detail = self._remount_verdict(mem, reference)
+        return self._result(case, outcome, True, detail=detail, image=mem.snapshot())
 
     # ------------------------------------------------------------------
     # scenarios
 
-    def run_case(self, case: SweepCase, ops: list[FsOp] | None = None) -> SweepRunResult:
-        runner = _SCENARIOS[case.op]
-        return runner(self, case, ops)
-
-    def _run_supervised(self, case: SweepCase, ops: list[FsOp] | None) -> SweepRunResult:
+    def _workload(self, case: SweepCase, ops: list[FsOp] | None) -> _Stage:
         ops = ops if ops is not None else self._workload_ops(case)
+        dev = SweepDevice(self._scratch.setup())
         if case.crash_kind == POWER_LOSS:
-            return self._run_power_loss(case, ops)
-        reference = self._reference_state(case, ops)
-        mem = self._scratch_device()
-        hooks = HookPoints()
-        dev = SweepDevice(mem, hooks)
-        rae = RAEFilesystem(dev, config=RAEConfig(metrics=False, flight=False), hooks=hooks)
-        injector = Injector(hooks, seed=case.injector_seed)
-        injector.retarget(rae.base)
-        rae.on_reboot.append(injector.retarget)
-        injector.arm(_crash_spec(case.ref))
-        dev.arm_point(case.point, FAIL_STOP)
-        try:
+            fs = BaseFilesystem(dev)
+
+            def bare() -> None:
+                self._apply_all(fs, ops, sync=fs.commit)
+                _tail_mutation(fs)
+                fs.unmount()
+
+            return _Stage(dev, bare, compare=False)
+        rae = RAEFilesystem(dev, config=RAEConfig(metrics=False, flight=False))
+
+        def supervised() -> None:
             # The sync file's fsync drives commits through the
             # supervisor's detection path (the only commit entry the
-            # public RAE API exposes) at the same cadence the reference
-            # run uses plain fs.commit().
+            # public RAE API exposes).
             self._apply_all(rae, ops, sync=lambda: _sync_point(rae, None))
             _tail_mutation(rae)
             rae.unmount()
-        except RecoveryFailure as failure:
-            return self._result(
-                case, OUTCOME_FAILED,
-                fired=injector.stats.total_fires > 0,
-                detail=f"{failure.phase or 'unknown'}: {failure}",
-                bundle=rae.last_bundle,
-                image=mem.snapshot(),
-            )
-        finally:
-            dev.disarm_point()
-        if injector.stats.total_fires == 0:
-            return self._result(case, OUTCOME_UNREACHED, fired=False)
-        outcome, detail = self._remount_verdict(mem, reference)
-        return self._result(case, outcome, fired=True, detail=detail, image=mem.snapshot())
 
-    def _run_power_loss(self, case: SweepCase, ops: list[FsOp]) -> SweepRunResult:
-        """Power-loss commit/unmount: bare base, explicit commit cadence.
-        The supervisor's memory does not survive a power cut, so the
-        verdict is the journal's: remount + fsck must come back clean."""
-        mem = self._scratch_device()
-        hooks = HookPoints()
-        dev = SweepDevice(mem, hooks)
-        fs = BaseFilesystem(dev, hooks=hooks)
-        injector = Injector(hooks, seed=case.injector_seed)
-        injector.retarget(fs)
-        injector.arm(_crash_spec(case.ref))
-        dev.arm_point(case.point, POWER_LOSS)
-        try:
-            self._apply_all(fs, ops, sync=fs.commit)
-            _tail_mutation(fs)
-            fs.unmount()
-        except KernelBug:
-            pass  # the sweep's own crash; the device dropped to durable
-        finally:
-            dev.disarm_point()
-        if injector.stats.total_fires == 0:
-            return self._result(case, OUTCOME_UNREACHED, fired=False)
-        outcome, detail = self._remount_verdict(mem, None)
-        return self._result(case, outcome, fired=True, detail=detail, image=mem.snapshot())
+        return _Stage(dev, supervised, bundle=lambda: rae.last_bundle)
 
-    def _run_mount(self, case: SweepCase, ops: list[FsOp] | None) -> SweepRunResult:
-        dirty = self._dirty_image(case)
-        reference = self._image_state(
-            ("dirty", case.profile, case.workload_seed, case.nops), dirty
-        )
-        mem = self._device_from(dirty)
-        hooks = HookPoints()
-        dev = SweepDevice(mem, hooks)
-        injector = Injector(hooks, seed=case.injector_seed)
-        injector.arm(_crash_spec(case.ref))
-        dev.arm_point(case.point, case.crash_kind)
-        try:
-            fs = BaseFilesystem(dev, hooks=hooks)
-            injector.retarget(fs)
-            fs.unmount()
-        except KernelBug:
-            pass
-        finally:
-            dev.disarm_point()
-        if injector.stats.total_fires == 0:
-            return self._result(case, OUTCOME_UNREACHED, fired=False)
+    def _mount(self, case: SweepCase, ops: list[FsOp] | None) -> _Stage:
+        dev = SweepDevice(self._device_from(self._dirty_image(case)))
         # Mount creates no new state — replay of the (durable) dirty
         # image is idempotent — so the reference holds for both kinds.
-        outcome, detail = self._remount_verdict(mem, reference)
-        return self._result(case, outcome, fired=True, detail=detail, image=mem.snapshot())
+        return _Stage(dev, lambda: BaseFilesystem(dev).unmount())
 
-    def _run_journal_recover(self, case: SweepCase, ops: list[FsOp] | None) -> SweepRunResult:
-        dirty = self._dirty_image(case)
-        reference = self._image_state(
-            ("dirty", case.profile, case.workload_seed, case.nops), dirty
-        )
-        mem = self._device_from(dirty)
-        hooks = HookPoints()
-        dev = SweepDevice(mem, hooks)
-        injector = Injector(hooks, seed=case.injector_seed)
-        injector.arm(_crash_spec(case.ref))
-        dev.arm_point(case.point, case.crash_kind)
+    def _journal_recover(self, case: SweepCase, ops: list[FsOp] | None) -> _Stage:
+        mem = self._device_from(self._dirty_image(case))
         layout = Superblock.unpack(mem.read_block(0), verify=False).layout()
-        try:
-            JournalManager.recover(dev, layout)
-        except KernelBug:
-            pass
-        finally:
-            dev.disarm_point()
-        if injector.stats.total_fires == 0:
-            return self._result(case, OUTCOME_UNREACHED, fired=False)
-        outcome, detail = self._remount_verdict(mem, reference)
-        return self._result(case, outcome, fired=True, detail=detail, image=mem.snapshot())
+        dev = SweepDevice(mem)
+        return _Stage(dev, lambda: JournalManager.recover(dev, layout))
 
-    def _run_mkfs(self, case: SweepCase, ops: list[FsOp] | None) -> SweepRunResult:
+    def _mkfs(self, case: SweepCase, ops: list[FsOp] | None) -> _Stage:
         mem = MemoryBlockDevice(block_count=case.block_count, track_durability=True)
-        hooks = HookPoints()
-        dev = SweepDevice(mem, hooks)
-        injector = Injector(hooks, seed=case.injector_seed)
-        injector.arm(_crash_spec(case.ref))
-        dev.arm_point(case.point, case.crash_kind)
-        try:
-            mkfs(dev, journal_blocks=case.journal_blocks)
-        except KernelBug:
-            pass
-        finally:
-            dev.disarm_point()
-        if injector.stats.total_fires == 0:
-            return self._result(case, OUTCOME_UNREACHED, fired=False)
-        # A torn format has nothing to recover *from*; the contract is
-        # that re-running mkfs fully supersedes the partial image.
-        mkfs(mem, journal_blocks=case.journal_blocks)
-        outcome, detail = self._remount_verdict(mem, None)
-        return self._result(case, outcome, fired=True, detail=detail, image=mem.snapshot())
 
-    def _run_inode_repair(self, case: SweepCase, ops: list[FsOp] | None) -> SweepRunResult:
-        image = self._clean_image(case)
-        reference = self._image_state(
-            ("clean", case.profile, case.workload_seed, case.nops), image
-        )
-        mem = self._device_from(image)
+        def reformat(crashed: bool) -> None:
+            # A torn format has nothing to recover *from*; the contract
+            # is that re-running mkfs fully supersedes the partial image.
+            if crashed:
+                mkfs(mem, journal_blocks=case.journal_blocks)
+
+        dev = SweepDevice(mem)
+        return _Stage(dev, lambda: mkfs(dev, journal_blocks=case.journal_blocks), reformat)
+
+    def _inode_repair(self, case: SweepCase, ops: list[FsOp] | None) -> _Stage:
+        mem = self._device_from(self._clean_image(case))
         sb = Superblock.unpack(mem.read_block(0), verify=False)
         layout = sb.layout()
         inode = read_inode(mem, layout, sb.root_ino)
-        hooks = HookPoints()
-        dev = SweepDevice(mem, hooks)
-        injector = Injector(hooks, seed=case.injector_seed)
-        injector.arm(_crash_spec(case.ref))
-        dev.arm_point(case.point, case.crash_kind)
-        try:
-            write_inode(dev, layout, sb.root_ino, inode)
-        except KernelBug:
-            pass
-        finally:
-            dev.disarm_point()
-        if injector.stats.total_fires == 0:
-            return self._result(case, OUTCOME_UNREACHED, fired=False)
-        # The repair tool's contract is idempotency: re-running the
-        # interrupted write must land the full inode.
-        write_inode(mem, layout, sb.root_ino, inode)
-        outcome, detail = self._remount_verdict(mem, reference)
-        return self._result(case, outcome, fired=True, detail=detail, image=mem.snapshot())
 
-    def _run_image_clone(self, case: SweepCase, ops: list[FsOp] | None) -> SweepRunResult:
-        image = self._clean_image(case)
-        reference = self._image_state(
-            ("clean", case.profile, case.workload_seed, case.nops), image
-        )
-        src = self._device_from(image)
-        hooks = HookPoints()
-        dev = SweepDevice(src, hooks)
-        injector = Injector(hooks, seed=case.injector_seed)
-        injector.arm(_crash_spec(case.ref))
-        dev.arm_point(case.point, case.crash_kind)
-        try:
-            clone_to_memory(dev)
-        except KernelBug:
-            pass
-        finally:
-            dev.disarm_point()
-        if injector.stats.total_fires == 0:
-            return self._result(case, OUTCOME_UNREACHED, fired=False)
-        if src.snapshot() != image:
-            return self._result(
-                case, OUTCOME_DIVERGED, fired=True,
-                detail="interrupted clone mutated its source image",
-            )
-        clone = clone_to_memory(src)
-        outcome, detail = self._remount_verdict(clone, reference)
-        return self._result(case, outcome, fired=True, detail=detail, image=src.snapshot())
+        def retry(crashed: bool) -> None:
+            # The repair tool's contract is idempotency: re-running the
+            # interrupted write must land the full inode.
+            if crashed:
+                write_inode(mem, layout, sb.root_ino, inode)
 
-    def _run_fault_injection(self, case: SweepCase, ops: list[FsOp] | None) -> SweepRunResult:
-        image = self._clean_image(case)
-        reference = self._image_state(
-            ("clean", case.profile, case.workload_seed, case.nops), image
-        )
-        mem = self._device_from(image)
-        hooks = HookPoints()
-        dev = SweepDevice(mem, hooks)
-        # The swept point is the sticky-flip write-through: damage being
+        dev = SweepDevice(mem)
+        return _Stage(dev, lambda: write_inode(dev, layout, sb.root_ino, inode), retry)
+
+    def _fault_injection(self, case: SweepCase, ops: list[FsOp] | None) -> _Stage:
+        mem = self._device_from(self._clean_image(case))
+        dev = SweepDevice(mem)
+        # The swept write is the sticky-flip write-through: damage being
         # persisted to an *unallocated* scratch block, so the crash —
         # not the planned corruption — is what the verdict judges.
         scratch = mem.block_count - 1
         plan = DeviceFaultPlan()
         plan.add_flip(block=scratch, offset=0, xor_byte=0xFF, times=1, sticky=True)
         faulty = FaultyBlockDevice(dev, plan)
-        injector = Injector(hooks, seed=case.injector_seed)
-        injector.arm(_crash_spec(case.ref))
-        dev.arm_point(case.point, case.crash_kind)
-        try:
-            faulty.read_block(scratch)
-        except KernelBug:
-            pass
-        finally:
-            dev.disarm_point()
-        if injector.stats.total_fires == 0:
-            return self._result(case, OUTCOME_UNREACHED, fired=False)
-        outcome, detail = self._remount_verdict(mem, reference)
-        return self._result(case, outcome, fired=True, detail=detail, image=mem.snapshot())
+        return _Stage(dev, lambda: faulty.read_block(scratch))
 
-    def _run_cache_sync(self, case: SweepCase, ops: list[FsOp] | None) -> SweepRunResult:
-        image = self._clean_image(case)
-        reference = self._image_state(
-            ("clean", case.profile, case.workload_seed, case.nops), image
-        )
-        mem = self._device_from(image)
-        hooks = HookPoints()
-        dev = SweepDevice(mem, hooks)
+    def _cache_sync(self, case: SweepCase, ops: list[FsOp] | None) -> _Stage:
+        mem = self._device_from(self._clean_image(case))
+        dev = SweepDevice(mem)
         cache = BufferCache(dev, capacity=16)
         # Dirty a few unallocated tail blocks: sync's durability contract
         # without perturbing the filesystem's logical state.
-        scratch = [mem.block_count - 2 - index for index in range(4)]
         payloads = {
-            block: bytes([index + 1]) * mem.block_size
-            for index, block in enumerate(scratch)
+            mem.block_count - 2 - index: bytes([index + 1]) * mem.block_size
+            for index in range(4)
         }
-        for block in scratch:
-            cache.write(block, payloads[block])
-        injector = Injector(hooks, seed=case.injector_seed)
-        injector.arm(_crash_spec(case.ref))
-        dev.arm_point(case.point, case.crash_kind)
-        crashed = False
-        try:
-            cache.sync()
-        except KernelBug:
-            crashed = True
-        finally:
-            dev.disarm_point()
-        if injector.stats.total_fires == 0:
-            return self._result(case, OUTCOME_UNREACHED, fired=False)
-        if crashed and case.crash_kind == FAIL_STOP:
+        for block, payload in payloads.items():
+            cache.write(block, payload)
+
+        def resync(crashed: bool) -> tuple[str, str] | None:
+            if not crashed or case.crash_kind != FAIL_STOP:
+                return None
             # Fail-stop keeps the machine (and the cache) alive: a retry
             # must land every block that was dirty at crash time.
             cache.sync()
-            for block in scratch:
-                if mem.read_block(block) != payloads[block]:
-                    return self._result(
-                        case, OUTCOME_DIVERGED, fired=True,
-                        detail=f"block {block} not durable after re-sync",
-                    )
-        outcome, detail = self._remount_verdict(mem, reference)
-        return self._result(case, outcome, fired=True, detail=detail, image=mem.snapshot())
+            for block, payload in payloads.items():
+                if mem.read_block(block) != payload:
+                    return OUTCOME_DIVERGED, f"block {block} not durable after re-sync"
+            return None
+
+        return _Stage(dev, cache.sync, resync)
 
     # ------------------------------------------------------------------
     # minimization + reproducers
 
     def _minimize(self, case: SweepCase, failing: SweepRunResult) -> SweepRunResult:
-        """Shrink the failing workload; returns the result annotated with
-        the minimized sequence and a reproducer bundle."""
+        """Shrink the failing workload while the crash stays at the same
+        (call, block, occurrence); returns the result annotated with the
+        minimized sequence and a reproducer bundle."""
         ops = self._workload_ops(case)
         target = failing.outcome
 
@@ -747,7 +625,7 @@ class SweepEngine:
             return self.run_case(case, ops=candidate).outcome == target
 
         minimized, tests = ddmin(ops, still_fails, max_tests=self.config.minimize_max_tests)
-        failing.minimized_ops = [op.describe() for op in minimized]
+        failing.minimized_ops = minimized
         failing.bundle = self._reproducer_bundle(case, failing, minimized, tests)
         return failing
 
@@ -758,7 +636,7 @@ class SweepEngine:
         minimized: list[FsOp] | None,
         minimize_tests: int = 0,
     ) -> dict:
-        """A PR 5 forensic bundle for a failing sweep tuple.  When the
+        """A forensic bundle for a failing sweep case.  When the
         supervised run produced its own recovery bundle, extend it; the
         ``sweep`` section always records the exact replay parameters."""
         base = result.bundle
@@ -768,7 +646,7 @@ class SweepEngine:
                 trigger={
                     "kind": "sweep-crash",
                     "op": case.op,
-                    "ref": case.ref,
+                    "point": case.point.describe(),
                     "crash_kind": case.crash_kind,
                 },
                 window={
@@ -797,57 +675,27 @@ class SweepEngine:
 
     def run(self, cases: list[SweepCase] | None = None) -> SweepReport:
         if cases is None:
-            cases = self.build_cases(self.load_pairs())
+            cases = self.build_cases()
         report = SweepReport()
-        by_pair: dict[tuple[str, str, str], list[SweepRunResult]] = {}
         for case in cases:
             result = self.run_case(case)
-            if (
-                self.config.minimize
-                and result.fired
-                and result.outcome in (OUTCOME_DIVERGED, OUTCOME_FAILED)
-                and case.op in _MINIMIZABLE_OPS
-                and case.crash_kind == FAIL_STOP
-            ):
-                result = self._minimize(case, result)
-            elif result.outcome in (OUTCOME_DIVERGED, OUTCOME_FAILED):
-                result.bundle = self._reproducer_bundle(case, result, None)
-            if result.bundle is not None and result.outcome in (OUTCOME_DIVERGED, OUTCOME_FAILED):
+            if result.outcome != OUTCOME_CLEAN:
+                if self.config.minimize and result.fired and case.op == "workload":
+                    result = self._minimize(case, result)
+                else:
+                    result.bundle = self._reproducer_bundle(case, result, None)
                 report.reproducers.append(result.bundle)
             result.image = None  # aggregate reports don't carry images
             report.results.append(result)
-            by_pair.setdefault((case.op, case.ref, case.crash_kind), []).append(result)
-
-        for key, runs in by_pair.items():
-            fired = [run for run in runs if run.fired]
-            if not fired:
-                report.pair_outcomes[key] = OUTCOME_UNREACHED
-                continue
-            worst = min(fired, key=lambda run: _SEVERITY.index(run.outcome))
-            report.pair_outcomes[key] = worst.outcome
-
-        for key, outcome in sorted(report.pair_outcomes.items()):
-            if outcome == OUTCOME_CLEAN:
-                continue
-            op, ref, crash_kind = key
-            if sanction_for(op, ref, crash_kind) is None:
-                detail = next(
-                    (run.detail for run in by_pair.get(key, []) if run.outcome == outcome and run.detail),
-                    "",
-                )
-                report.unsanctioned.append((key, outcome, detail))
-        report.stale_sanctions = validate_sanctions(report.pair_outcomes, OUTCOME_CLEAN)
         return report
 
 
-_SCENARIOS = {
-    "commit": SweepEngine._run_supervised,
-    "unmount": SweepEngine._run_supervised,
-    "mount": SweepEngine._run_mount,
-    "journal-recover": SweepEngine._run_journal_recover,
-    "mkfs": SweepEngine._run_mkfs,
-    "inode-repair": SweepEngine._run_inode_repair,
-    "image-clone": SweepEngine._run_image_clone,
-    "fault-injection": SweepEngine._run_fault_injection,
-    "cache-sync": SweepEngine._run_cache_sync,
+SCENARIOS: dict[str, Callable[[SweepEngine, SweepCase, list[FsOp] | None], _Stage]] = {
+    "workload": SweepEngine._workload,
+    "mount": SweepEngine._mount,
+    "journal-recover": SweepEngine._journal_recover,
+    "mkfs": SweepEngine._mkfs,
+    "inode-repair": SweepEngine._inode_repair,
+    "fault-injection": SweepEngine._fault_injection,
+    "cache-sync": SweepEngine._cache_sync,
 }

@@ -1,9 +1,9 @@
 """fstests-style suite plumbing for the sweep.
 
-The sweep's unit of execution is the (workload, op, point, crash-kind)
-tuple; this module gives those tuples the shape of an fstests run:
-stable case names (``sweep/<op>/NNN``), group membership for selection
-(``-g commit``, ``-g power-loss``, ``-g quick``), scratch-image
+The sweep's unit of execution is one (scenario, profile, crash kind,
+trace point) case; this module gives those cases the shape of an
+fstests run: stable case names (``sweep/<op>/NNN``), group membership
+for selection (``-g workload``, ``-g power-loss``, ``-g flush``), scratch-image
 setup/teardown with per-geometry template caching, and the familiar
 one-line-per-case result listing with a totals footer.
 """
@@ -51,7 +51,7 @@ def case_name(case, index: int) -> str:
 
 def case_groups(case) -> tuple[str, ...]:
     """Groups a case belongs to, fstests ``-g`` style."""
-    return ("auto", case.op, case.crash_kind, case.point.kind, case.profile)
+    return ("auto", case.op, case.crash_kind, case.point.call, case.profile)
 
 
 def name_cases(cases) -> list[tuple[str, object]]:
@@ -81,7 +81,7 @@ _STATUS = {
     "repaired": "pass",
     "diverged": "FAIL",
     "recovery-failed": "FAIL",
-    "unreached": "notrun",
+    "unreached": "FAIL",
 }
 
 
@@ -97,24 +97,16 @@ def format_report(named_results, report) -> str:
     """The run listing plus the fstests-style footer."""
     lines = [format_result_line(name, result) for name, result in named_results]
     counts = report.outcome_counts()
-    total = len(report.pair_outcomes)
-    clean = counts.get("recovered-clean", 0)
     lines.append("")
     lines.append(
-        f"Ran {len(named_results)} cases over {total} (op, point, kind) tuples: "
+        f"Ran {len(named_results)} cases: "
         + ", ".join(f"{count} {outcome}" for outcome, count in sorted(counts.items()))
     )
-    if report.stale_sanctions:
-        lines.append(f"STALE SANCTIONS ({len(report.stale_sanctions)}):")
-        for key in report.stale_sanctions:
-            lines.append(f"  {key} — covered tuples all clean; remove the entry")
-    if report.unsanctioned:
-        lines.append(f"UNSANCTIONED NON-CLEAN OUTCOMES ({len(report.unsanctioned)}):")
-        for key, outcome, detail in report.unsanctioned:
-            suffix = f" — {detail}" if detail else ""
-            lines.append(f"  {key}: {outcome}{suffix}")
-    elif clean == total:
-        lines.append("All tuples recovered clean.")
+    if report.failures:
+        lines.append(f"NON-CLEAN OUTCOMES ({len(report.failures)}):")
+        for result in report.failures:
+            suffix = f" — {result.detail}" if result.detail else ""
+            lines.append(f"  {result.case.ident()}: {result.outcome}{suffix}")
     else:
-        lines.append("All non-clean tuples are sanctioned (see repro/sweep/sanctions.py).")
+        lines.append("All cases recovered clean.")
     return "\n".join(lines)

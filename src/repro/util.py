@@ -55,8 +55,8 @@ def atomic_write_json(path: str | Path, payload, *, sort_keys: bool = True) -> s
     existing file: readers see either the previous complete file or the
     new one.  The temp file is removed on any failure.
 
-    Every JSON artifact the repo writes (``crashpoints.json``, registry
-    snapshots, forensic bundles) goes through here; ``sort_keys=False`` is for
+    Every JSON artifact the repo writes (registry snapshots, forensic and
+    sweep reproducer bundles) goes through here; ``sort_keys=False`` is for
     payloads that carry their own canonical ordering.
     """
     text = json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.blockdev.device import MemoryBlockDevice
+from repro.blockdev.device import MemoryBlockDevice, WriteFencedDevice
 from repro.ondisk.directory import DirBlock
 from repro.ondisk.image import (
     clone_to_memory,
@@ -75,6 +75,15 @@ def test_clone_to_memory_is_independent(device):
     clone = clone_to_memory(device)
     clone.write_block(100, b"x" * BLOCK_SIZE)
     assert device.read_block(100) != clone.read_block(100)
+
+
+def test_clone_to_memory_never_writes_its_source(device):
+    # The fence raises on any write: the clone's writes all land in the
+    # fresh device, so a crash mid-clone leaves the source untouched.
+    image = device.snapshot()
+    clone = clone_to_memory(WriteFencedDevice(device))
+    assert clone.snapshot() == image
+    assert device.snapshot() == image
 
 
 def test_write_inode_roundtrip(device):

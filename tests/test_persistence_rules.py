@@ -4,10 +4,8 @@ Mutation-style validation: every rule fires on at least two distinct
 seeded crash-consistency bugs with the right file/line witness, stays
 silent on the clean twin, and the declared-spec machinery (durability
 protocols, write-site roles, sanctions, config errors) behaves per
-docs/STATIC_ANALYSIS.md.  Unjournaled writes seeded into a copy of the
-real tree are caught by the family as a whole.  The crash-surface
-catalog tests pin the committed ``crashpoints.json`` to what the tree
-actually contains.
+docs/STATIC_ANALYSIS.md.  A home write seeded into a copy of the real
+tree is caught by the family as a whole.
 """
 
 from __future__ import annotations
@@ -24,16 +22,7 @@ from repro.analysis import analyze_tree
 from repro.analysis.cli import main as raelint_main
 from repro.analysis.engine import Analyzer, ParsedModule
 from repro.analysis.persistence import PersistenceConfigError, model_for
-from repro.analysis.persistence.surface import (
-    build_crash_surface,
-    render_crash_surface,
-    validate_crash_surface,
-)
-from repro.analysis.rules import (
-    CrashHookCoverageRule,
-    FlushBarrierRule,
-    PersistOrderRule,
-)
+from repro.analysis.rules import FlushBarrierRule, PersistOrderRule
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -325,92 +314,6 @@ class TestPersistOrder:
 
 
 # ---------------------------------------------------------------------------
-# CRASH-HOOK-COVERAGE
-
-
-#: One hook-covered persistence point (sync -> flush_home) and one
-#: uncovered one (mkfs).
-PARTIAL_COVERAGE = """
-    class Fs:
-        def sync(self):
-            self.hooks.fire("sync.pre")
-            self.flush_home()
-
-        def flush_home(self):
-            self.device.write_block(0, b"x")
-
-        def mkfs(self):
-            self.device.write_block(1, b"x")
-"""
-
-
-class TestCrashHookCoverage:
-    def test_unreachable_point_is_flagged(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "spec/persistence.py": "PERSIST_SANCTIONS = {}\n",
-            "blockdev/disk.py": """
-                class Disk:
-                    def zap(self):
-                        self.device.write_block(0, b"")
-            """,
-        })
-        report = analyze_tree(root, rules=[CrashHookCoverageRule()])
-        assert rule_ids(report) == ["CRASH-HOOK-COVERAGE"]
-        finding = report.findings[0]
-        assert (finding.path, finding.line) == ("blockdev/disk.py", 4)
-        assert "Disk.zap" in finding.message
-        assert "not reachable from any fault-injection hook" in finding.message
-
-    def test_hook_covers_only_its_reachable_defs(self, tmp_path):
-        # Second seeded bug: a hook exists but the call graph does not
-        # carry it to mkfs; flush_home (reached through sync) is clean.
-        root = write_tree(tmp_path, {
-            "spec/persistence.py": "PERSIST_SANCTIONS = {}\n",
-            "basefs/fs.py": PARTIAL_COVERAGE,
-        })
-        report = analyze_tree(root, rules=[CrashHookCoverageRule()])
-        assert rule_ids(report) == ["CRASH-HOOK-COVERAGE"]
-        finding = report.findings[0]
-        assert (finding.path, finding.line) == ("basefs/fs.py", 11)
-        assert "Fs.mkfs" in finding.message
-
-    def test_sanctioned_point_passes(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "spec/persistence.py": """
-                PERSIST_SANCTIONS = {
-                    "Fs.mkfs": "offline image build: no mounted state to recover",
-                }
-            """,
-            "basefs/fs.py": PARTIAL_COVERAGE,
-        })
-        assert rule_ids(analyze_tree(root, rules=[CrashHookCoverageRule()])) == []
-
-    def test_stale_sanction_on_covered_function_raises(self):
-        modules = parse_tree({
-            "spec/persistence.py": """
-                PERSIST_SANCTIONS = {
-                    "Fs.flush_home": "pretend this is unreachable",
-                }
-            """,
-            "basefs/fs.py": PARTIAL_COVERAGE,
-        })
-        with pytest.raises(PersistenceConfigError, match="already\\s+.*hook-covered"):
-            model_for(modules)
-
-    def test_sanction_on_pointless_function_raises(self):
-        modules = parse_tree({
-            "spec/persistence.py": """
-                PERSIST_SANCTIONS = {
-                    "Fs.sync": "sync itself writes nothing",
-                }
-            """,
-            "basefs/fs.py": PARTIAL_COVERAGE,
-        })
-        with pytest.raises(PersistenceConfigError, match="no persistence points"):
-            model_for(modules)
-
-
-# ---------------------------------------------------------------------------
 # declared-spec config errors: always exit 2, never findings
 
 
@@ -452,11 +355,11 @@ class TestConfigErrors:
     def test_cli_reports_spec_error_as_exit_two(self, tmp_path, capsys):
         root = write_tree(tmp_path, {
             "spec/persistence.py": """
-                PERSIST_SANCTIONS = {
-                    "Ghost": "no such function anywhere",
+                WRITE_SITE_ROLES = {
+                    "Ghost": ("journal-write",),
                 }
             """,
-            "basefs/fs.py": PARTIAL_COVERAGE,
+            "basefs/journal.py": UNFLUSHED_COMMIT,
         })
         assert raelint_main([str(root)]) == 2
         err = capsys.readouterr().err
@@ -464,77 +367,6 @@ class TestConfigErrors:
         assert "Ghost" in err
         # The error names the spec file and the offending line.
         assert "spec/persistence.py:3" in err
-
-
-# ---------------------------------------------------------------------------
-# the crash-surface catalog
-
-
-class TestCrashSurface:
-    def test_surface_structure_and_determinism(self):
-        modules = parse_tree({
-            "spec/persistence.py": """
-                WRITE_SITE_ROLES = {
-                    "Fs.commit": ("commit-record",),
-                }
-                CRASH_ENTRY_POINTS = {
-                    "commit": "Fs.commit",
-                }
-            """,
-            "basefs/fs.py": """
-                class Fs:
-                    def commit(self, txn):
-                        self.hooks.fire("commit.pre")
-                        self.device.write_block(0, txn)
-                        self.device.flush()
-            """,
-        })
-        model = model_for(modules)
-        payload = build_crash_surface(model)
-        validate_crash_surface(payload)
-        refs = {point["ref"]: point for point in payload["points"]}
-        assert set(refs) == {"basefs/fs.py:5", "basefs/fs.py:6"}
-        record = refs["basefs/fs.py:5"]
-        assert record["kind"] == "commit-record"
-        assert record["function"] == "Fs.commit"
-        assert record["hook"] == "commit.pre"
-        assert record["ops"] == ["commit"]
-        op = payload["ops"]["commit"]
-        assert op["entry"] == "Fs.commit"
-        assert {p["ref"] for p in op["points"]} == set(refs)
-        # Determinism: render twice, round-trip, byte-identical.
-        rendered = render_crash_surface(payload)
-        assert rendered == render_crash_surface(build_crash_surface(model))
-        validate_crash_surface(json.loads(rendered))
-
-    def test_emitted_catalog_matches_committed_copy(self, tmp_path, capsys):
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        root = str(REPO / "src" / "repro")
-        assert raelint_main([root, "--emit-crash-surface", str(first)]) == 0
-        assert raelint_main([root, "--emit-crash-surface", str(second)]) == 0
-        assert first.read_text() == second.read_text()
-        # The committed catalog is exactly what the tree regenerates —
-        # the invariant the CI drift step enforces.
-        assert first.read_text() == (REPO / "crashpoints.json").read_text()
-
-    def test_committed_catalog_is_schema_valid_and_actionable(self):
-        payload = json.loads((REPO / "crashpoints.json").read_text())
-        validate_crash_surface(payload)
-        assert payload["points"]
-        # Every persistence point is on some op's crash path (the sweep
-        # work-list has no orphans); hook-or-sanction is enforced by the
-        # schema check above.
-        assert all(point["ops"] for point in payload["points"])
-
-    def test_emit_without_a_spec_exits_two(self, tmp_path, capsys):
-        root = write_tree(tmp_path, {
-            "basefs/journal.py": UNFLUSHED_COMMIT,
-        })
-        out = tmp_path / "crashpoints.json"
-        assert raelint_main([str(root), "--emit-crash-surface", str(out)]) == 2
-        assert "spec/persistence.py" in capsys.readouterr().err
-        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -600,48 +432,6 @@ class TestChangedSince:
 
 
 # ---------------------------------------------------------------------------
-# satellite: the emitter always analyzes the full tree
-
-
-class TestEmitterScope:
-    def test_crash_surface_is_identical_with_and_without_changed_only(
-        self, tmp_path, capsys
-    ):
-        root = write_tree(tmp_path, {
-            "spec/persistence.py": """
-                WRITE_SITE_ROLES = {
-                    "Fs.commit": ("commit-record",),
-                }
-                CRASH_ENTRY_POINTS = {
-                    "commit": "Fs.commit",
-                }
-            """,
-            "basefs/fs.py": """
-                class Fs:
-                    def commit(self, txn):
-                        self.hooks.fire("commit.pre")
-                        self.device.write_block(0, txn)
-                        self.device.flush()
-            """,
-            "basefs/other.py": "def helper():\n    pass\n",
-        })
-        _git(root, "init", "-q")
-        _git(root, "add", "-A")
-        _git(root, "commit", "-q", "-m", "base")
-        # Dirty exactly one irrelevant file: a scoped analysis would
-        # drop basefs/fs.py and emit an empty (or broken) surface.
-        (root / "basefs" / "other.py").write_text("def helper():\n    return 1\n")
-        full = root / "full.json"
-        scoped = root / "scoped.json"
-        assert raelint_main([str(root), "--emit-crash-surface", str(full)]) == 0
-        assert raelint_main([
-            str(root), "--changed-only", "--emit-crash-surface", str(scoped),
-        ]) == 0
-        assert full.read_bytes() == scoped.read_bytes()
-        assert json.loads(full.read_text())["points"]
-
-
-# ---------------------------------------------------------------------------
 # satellite: --format=github
 
 
@@ -668,20 +458,19 @@ class TestGithubFormat:
 class TestRealTree:
     def test_persistence_family_is_clean_on_src_repro(self):
         root = REPO / "src" / "repro"
-        report = analyze_tree(root, rules=[
-            FlushBarrierRule(), PersistOrderRule(), CrashHookCoverageRule(),
-        ])
+        report = analyze_tree(root, rules=[FlushBarrierRule(), PersistOrderRule()])
         assert rule_ids(report) == [], "\n".join(f.render() for f in report.findings)
 
     def test_model_binds_the_declared_surface(self):
-        # The declarations are load-bearing: entry points resolve, points
-        # exist, and no unflushed commit record survives composition.
+        # The declarations are load-bearing: every declared function has
+        # persistence points, and no unflushed commit record survives
+        # composition.
         root = REPO / "src" / "repro"
         modules, _ = Analyzer(root).parse_all()
         model = model_for(modules)
         assert model is not None
-        assert model.points
-        assert {"commit", "mount", "journal-recover", "mkfs"} <= set(model.entries)
+        with_points = {model.qualname(point.func_key) for point in model.points}
+        assert set(model.decls.protocols) | set(model.decls.site_roles) <= with_points
         assert model.violations == []
 
 
@@ -721,17 +510,4 @@ class TestSeededUnjournaledWrites:
         )
         assert _persistence_findings(root, capsys) == [
             ("PERSIST-ORDER", "basefs/filesystem.py", line),
-        ]
-
-    def test_device_write_in_an_unhooked_op_is_uncoverable(self, tmp_path, capsys):
-        # A raw write inside unlink, which fires no fault-injection hook:
-        # the crash sweep could never interrupt it.
-        root, line = _seeded_copy(
-            tmp_path,
-            "            self.dentry_cache.invalidate(parent.ino, name)\n"
-            "            child.inode.nlink -= 1\n",
-            '            self.device.write_block(7, b"x")\n',
-        )
-        assert _persistence_findings(root, capsys) == [
-            ("CRASH-HOOK-COVERAGE", "basefs/filesystem.py", line),
         ]

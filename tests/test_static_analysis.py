@@ -615,10 +615,10 @@ class TestFamilySelect:
             "contracts": (
                 "ERRNO-PARITY", "EFFECT-CONTRACT", "API-PARITY", "STATE-PROTOCOL",
             ),
-            "persistence": ("FLUSH-BARRIER", "PERSIST-ORDER", "CRASH-HOOK-COVERAGE"),
+            "persistence": ("FLUSH-BARRIER", "PERSIST-ORDER"),
         }
-        assert len(RULE_CLASSES) == 15
-        assert len({cls.rule_id for cls in RULE_CLASSES}) == 15
+        assert len(RULE_CLASSES) == 14
+        assert len({cls.rule_id for cls in RULE_CLASSES}) == 14
 
     def test_rule_catalog_documents_exactly_the_registry(self):
         # docs/STATIC_ANALYSIS.md has one `### RULE-ID (severity)` section
