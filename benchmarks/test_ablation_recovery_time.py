@@ -73,9 +73,12 @@ def recovery_latency(window_ops: int, block_count: int = 16384) -> tuple[float, 
     return fs.stats.recovery.total_seconds[0], window
 
 
-# Measured 2.8x (83 vs 30 us per op); 7.5x (259 vs 34) while Bitmap.find_free
-# walked bit by bit and every directory lookup parsed its block twice.
-REPLAY_COST_BUDGET = 4.0
+# Measured 1.66-2.03x over twelve runs on a shared 2-core VM (65-81 vs
+# 33-43 us per op); the budget is the worst run plus ~40 %.  It was
+# 2.46-2.75x (89-125 vs 35-51 us) while every inode read and directory
+# lookup made several passes over its block, and 7.5x (259 vs 34) while
+# Bitmap.find_free walked bit by bit.
+REPLAY_COST_BUDGET = 2.8
 REPLAY_COST_ROUNDS = 5
 
 

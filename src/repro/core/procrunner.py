@@ -51,14 +51,13 @@ class _ShadowJob:
     inflight: tuple[int, FsOp] | None
     check_level: CheckLevel
     strict: bool
-    shared_pages: dict[tuple[int, int], bytes]
 
 
 def _shadow_child(job: _ShadowJob, pipe) -> None:
     """Child entry point: mount, replay, ship the result back."""
     try:
         device = open_image_readonly(job.image_path)
-        shadow = ShadowFilesystem(device, check_level=job.check_level, shared_pages=job.shared_pages)
+        shadow = ShadowFilesystem(device, check_level=job.check_level)
         engine = ReplayEngine(shadow, strict=job.strict)
         update = engine.run(job.records, job.fd_snapshot, job.inflight)
         pipe.send(("ok", update, engine.report))
@@ -78,7 +77,6 @@ def run_shadow_process(
     inflight: tuple[int, FsOp] | None,
     check_level: CheckLevel = CheckLevel.FULL,
     strict: bool = True,
-    shared_pages: dict[tuple[int, int], bytes] | None = None,
     timeout_s: float = 60.0,
 ) -> tuple[MetadataUpdate, ReplayReport]:
     """Execute recovery replay in a child process; returns its output."""
@@ -91,7 +89,6 @@ def run_shadow_process(
         inflight=inflight,
         check_level=check_level,
         strict=strict,
-        shared_pages=shared_pages or {},
     )
     parent_pipe, child_pipe = multiprocessing.Pipe(duplex=False)
     process = multiprocessing.Process(target=_shadow_child, args=(job, child_pipe), daemon=True)

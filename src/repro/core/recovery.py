@@ -28,7 +28,7 @@ from repro.core.handoff import download_metadata
 from repro.core.oplog import OpLog
 from repro.core.procrunner import run_shadow_process
 from repro.core.reboot import contained_reboot
-from repro.errors import RecoveryFailure
+from repro.errors import RECOVERY_BOUNDARY_ERRORS, RecoveryFailure
 from repro.shadowfs.checks import CheckLevel
 from repro.shadowfs.filesystem import ShadowFilesystem
 from repro.shadowfs.output import MetadataUpdate
@@ -203,8 +203,10 @@ def run_recovery(
     crash_fd_registry = old_fs.fd_table.snapshot()
     try:
         with _span(tracer, "recovery.reboot", corr_id=corr_id):
-            reboot = contained_reboot(old_fs, device)
-            new_fs = reboot.fs
+            try:
+                new_fs = contained_reboot(old_fs, device).fs
+            except RECOVERY_BOUNDARY_ERRORS as exc:
+                raise RecoveryFailure(f"contained reboot failed: {exc}", phase="reboot") from exc
         t1 = time.perf_counter()
         _emit(events, "recovery.reboot", corr_id, seconds=t1 - t0)
 
@@ -235,7 +237,10 @@ def run_recovery(
             ops=len(entries), inflight=inflight is not None, corr_id=corr_id,
         ):
             if in_process:
-                shadow = ShadowFilesystem(device, check_level=check_level)
+                try:
+                    shadow = ShadowFilesystem(device, check_level=check_level)
+                except RECOVERY_BOUNDARY_ERRORS as exc:
+                    raise RecoveryFailure(f"shadow mount failed: {exc}", phase="shadow-mount") from exc
                 if crosscheck is not None:
                     engine = CrossCheckingReplayEngine(shadow, strict_crosscheck, crosscheck)
                 else:

@@ -24,6 +24,38 @@ def bit_in_block(block: bytes, nbits: int, bit: int) -> bool:
     return bool(block[bit >> 3] & (1 << (bit & 7)))
 
 
+def _block_value(block: bytes, nbits: int) -> int:
+    """The first ``nbits`` bits of a serialized bitmap block as one
+    integer (bit ``i`` of the map is bit ``i`` of the value)."""
+    return int.from_bytes(block[: (nbits + 7) >> 3], "little") & ((1 << nbits) - 1)
+
+
+def first_clear_in_block(block: bytes, nbits: int) -> int | None:
+    """The lowest clear bit of a serialized bitmap block, or None if all
+    ``nbits`` are set — ``Bitmap.find_free(start=0)`` read in place."""
+    free = _block_value(block, nbits) ^ ((1 << nbits) - 1)
+    # x & -x isolates the lowest set bit of x.
+    return (free & -free).bit_length() - 1 if free else None
+
+
+def count_set_in_block(block: bytes, nbits: int) -> int:
+    """How many of the first ``nbits`` bits of a serialized bitmap block
+    are set, read in place."""
+    return _block_value(block, nbits).bit_count()
+
+
+def with_bit(block: bytes, nbits: int, bit: int, value: bool) -> bytes:
+    """A copy of a serialized bitmap block with ``bit`` set or cleared."""
+    if not 0 <= bit < nbits:
+        raise ValueError(f"bit {bit} out of range [0, {nbits})")
+    updated = bytearray(block)
+    if value:
+        updated[bit >> 3] |= 1 << (bit & 7)
+    else:
+        updated[bit >> 3] &= ~(1 << (bit & 7)) & 0xFF
+    return bytes(updated)
+
+
 class Bitmap:
     """A fixed-size bit vector with find-free support.
 
@@ -64,11 +96,6 @@ class Bitmap:
         self._check(bit)
         self._bytes[bit >> 3] &= ~(1 << (bit & 7)) & 0xFF
 
-    def _value(self) -> int:
-        """The logical bits as one integer (bit ``i`` of the map is bit
-        ``i`` of the value); serialized bits beyond ``nbits`` are dropped."""
-        return int.from_bytes(self._bytes[: (self.nbits + 7) >> 3], "little") & ((1 << self.nbits) - 1)
-
     def find_free(self, start: int = 0) -> int | None:
         """First clear bit at or after ``start`` (wrapping), or None if full.
 
@@ -76,7 +103,7 @@ class Bitmap:
         relies on: it passes a goal bit and takes the nearest free one.
         """
         start %= self.nbits
-        free = self._value() ^ ((1 << self.nbits) - 1)
+        free = _block_value(self._bytes, self.nbits) ^ ((1 << self.nbits) - 1)
         # x & -x isolates the lowest set bit of x.
         ahead = free >> start
         if ahead:
@@ -100,7 +127,7 @@ class Bitmap:
         return None
 
     def count_set(self) -> int:
-        return self._value().bit_count()
+        return count_set_in_block(self._bytes, self.nbits)
 
     def count_free(self) -> int:
         return self.nbits - self.count_set()

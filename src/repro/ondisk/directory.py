@@ -25,13 +25,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.ondisk.inode import FileType, file_type
+from repro.ondisk.inode import FILE_TYPES, FileType, file_type
 from repro.ondisk.layout import BLOCK_SIZE
 
 MAX_NAME_LEN = 255
 _HEADER = "<IHBB"
 _HEADER_SIZE = struct.calcsize(_HEADER)  # 8
 _unpack_header = struct.Struct(_HEADER).unpack_from
+_LAST_HEADER = BLOCK_SIZE - _HEADER_SIZE  # the last offset a whole header fits at
 # Every name of at most this many characters encodes to <= MAX_NAME_LEN
 # bytes (UTF-8 spends at most 4 per character), so only longer names
 # need encoding to be measured.
@@ -65,11 +66,21 @@ def _check_size(data) -> None:
         raise ValueError(f"directory block must be {BLOCK_SIZE} bytes, got {len(data)}")
 
 
+def _chain_error(offset: int, rec_len: int) -> str:
+    """What is wrong with a record whose ``rec_len`` breaks the chain."""
+    if rec_len < _HEADER_SIZE:
+        return f"directory record at {offset} has rec_len {rec_len} < header size"
+    if rec_len % 4:
+        return f"directory record at {offset} has unaligned rec_len {rec_len}"
+    return f"directory record at {offset} overruns the block (rec_len {rec_len})"
+
+
 def walk_records(data) -> list[tuple[int, int, int, int, int]]:
     """``(offset, ino, rec_len, name_len, file_type)`` for every record
     — live and free — of the raw directory block ``data``, read in
-    place.  This is the one statement of the record-chain rules: a
-    ``ValueError`` names the first record that breaks them."""
+    place.  This is the statement of the record-chain rules (which
+    :func:`walk_entries` applies in its own pass): a ``ValueError`` names
+    the first record that breaks them."""
     _check_size(data)
     records = []
     offset = 0
@@ -77,12 +88,8 @@ def walk_records(data) -> list[tuple[int, int, int, int, int]]:
         if offset + _HEADER_SIZE > BLOCK_SIZE:
             raise ValueError(f"directory record header at {offset} crosses block end")
         ino, rec_len, name_len, ftype = _unpack_header(data, offset)
-        if rec_len < _HEADER_SIZE:
-            raise ValueError(f"directory record at {offset} has rec_len {rec_len} < header size")
-        if rec_len % 4 != 0:
-            raise ValueError(f"directory record at {offset} has unaligned rec_len {rec_len}")
-        if offset + rec_len > BLOCK_SIZE:
-            raise ValueError(f"directory record at {offset} overruns the block (rec_len {rec_len})")
+        if rec_len < _HEADER_SIZE or rec_len % 4 or offset + rec_len > BLOCK_SIZE:
+            raise ValueError(_chain_error(offset, rec_len))
         if ino != 0 and entry_size(name_len) > rec_len:
             raise ValueError(f"directory record at {offset}: name_len {name_len} exceeds rec_len {rec_len}")
         records.append((offset, ino, rec_len, name_len, ftype))
@@ -97,18 +104,62 @@ def walk_entries(data) -> list[tuple[int, int, str, FileType]]:
     raw directory block ``data``, in block order, with the whole block
     validated before anything is returned: the chain as
     :func:`walk_records` validates it, then per live record a known
-    file type and a non-empty name that is UTF-8."""
+    file type and a non-empty name that is UTF-8.
+
+    One pass over the block.  A chain error anywhere outranks a name or
+    type error: the first of those is held until the chain has been
+    walked to the end, so the ``ValueError`` raised is the one a walk of
+    the chain followed by a walk of the names would raise first."""
+    _check_size(data)
     live = []
-    for offset, ino, _rec_len, name_len, ftype in walk_records(data):
-        if ino == 0:
-            continue
-        start = offset + _HEADER_SIZE
-        name = data[start : start + name_len].decode()
-        kind = file_type(ftype)
-        if name_len == 0:
-            raise ValueError("empty directory entry name")
-        live.append((offset, ino, name, kind))
+    append = live.append
+    unpack = _unpack_header
+    kinds = FILE_TYPES
+    held = None
+    offset = 0
+    while offset <= _LAST_HEADER:  # every record starting here has its header in the block
+        ino, rec_len, name_len, ftype = unpack(data, offset)
+        end = offset + rec_len
+        if rec_len < _HEADER_SIZE or rec_len % 4 or end > BLOCK_SIZE:
+            raise ValueError(_chain_error(offset, rec_len))
+        if ino:
+            start = offset + _HEADER_SIZE
+            if (start + name_len + 3) & ~3 > end:  # entry_size(name_len) > rec_len, offset 4-aligned
+                raise ValueError(f"directory record at {offset}: name_len {name_len} exceeds rec_len {rec_len}")
+            if held is None:
+                try:
+                    name = data[start : start + name_len].decode()
+                    kind = kinds[ftype] if ftype in kinds else file_type(ftype)  # raises for an unknown type
+                    if not name_len:
+                        raise ValueError("empty directory entry name")
+                    append((offset, ino, name, kind))
+                except ValueError as exc:
+                    held = exc
+        offset = end
+    if offset != BLOCK_SIZE:
+        raise ValueError(f"directory record header at {offset} crosses block end")
+    if held is not None:
+        raise held
     return live
+
+
+def _encoded_name(name: str) -> bytes:
+    encoded = name.encode()
+    if not 0 < len(encoded) <= MAX_NAME_LEN:
+        raise ValueError(f"bad name length {len(encoded)}")
+    return encoded
+
+
+def has_room_for(data, name: str) -> bool:
+    """Would :meth:`DirBlock.insert` of ``name`` into the raw directory
+    block ``data`` succeed?  Answered in place, from the records alone:
+    a free record at least an entry's size long, or a live record with
+    that much slack past its own entry."""
+    needed = entry_size(len(_encoded_name(name)))
+    for _offset, ino, rec_len, name_len, _ftype in walk_records(data):
+        if rec_len - (entry_size(name_len) if ino else 0) >= needed:
+            return True
+    return False
 
 
 class DirBlock:
@@ -167,9 +218,7 @@ class DirBlock:
         """
         if ino == 0:
             raise ValueError("cannot insert entry with ino 0")
-        encoded = name.encode()
-        if not 0 < len(encoded) <= MAX_NAME_LEN:
-            raise ValueError(f"bad name length {len(encoded)}")
+        encoded = _encoded_name(name)
         needed = entry_size(len(encoded))
 
         for offset, rec_ino, rec_len, name_len, _ftype in walk_records(self._data):
@@ -215,8 +264,7 @@ class DirBlock:
 
     def free_space_for(self, name: str) -> bool:
         """Would ``insert(name)`` succeed?  (Non-mutating probe.)"""
-        probe = DirBlock(self.to_block())
-        return probe.insert(1, name, FileType.REGULAR)
+        return has_room_for(self._data, name)
 
     def _write_record(self, offset: int, ino: int, rec_len: int, encoded_name: bytes, ftype: FileType) -> None:
         struct.pack_into(_HEADER, self._data, offset, ino, rec_len, len(encoded_name), int(ftype))

@@ -37,7 +37,11 @@ class FileType(enum.IntEnum):
     SYMLINK = 3
 
 
-_FILE_TYPES = {member.value: member for member in FileType}
+# Stored type value -> FileType, for readers that test many values.
+FILE_TYPES = {member.value: member for member in FileType}
+# Members bound to module names for the per-inode type tests: reading a
+# member off its class costs a descriptor call.
+_NONE, _REGULAR, _DIRECTORY, _SYMLINK = FileType.NONE, FileType.REGULAR, FileType.DIRECTORY, FileType.SYMLINK
 
 
 def file_type(raw: int) -> FileType:
@@ -45,7 +49,7 @@ def file_type(raw: int) -> FileType:
     times a dict hit, and every inode type test and directory entry
     parse goes through here.  An unknown value takes the enum call and
     so raises its ``ValueError``."""
-    member = _FILE_TYPES.get(raw)
+    member = FILE_TYPES.get(raw)
     return member if member is not None else FileType(raw)
 
 
@@ -57,10 +61,14 @@ _PERM_MASK = 0o7777
 _FORMAT = "<IIIIIQQQQI" + "I" * N_DIRECT + "III"
 _SIZE = struct.calcsize(_FORMAT)
 assert _SIZE <= INODE_SIZE, _SIZE
-_unpack_slot = struct.Struct(_FORMAT).unpack
-_ZERO_SLOT = bytes(_SIZE)
-# Where a reader of :func:`read_slot`'s tuple finds the fields it tests.
+_unpack_slot_from = struct.Struct(_FORMAT).unpack_from
+_pack_body = struct.Struct(_FORMAT[:-1]).pack  # every field but the checksum
+_SLOT_PAD = bytes(INODE_SIZE - _SIZE)
+# Where a reader of :func:`read_slot`'s tuple finds the fields it tests;
+# ``fields[SLOT_POINTERS]`` is the 12 direct, indirect and double
+# indirect pointers, in that order.
 SLOT_MODE, SLOT_NLINK, SLOT_SIZE = 0, 3, 5
+SLOT_POINTERS = slice(10, 10 + N_DIRECT + 2)
 
 
 def make_mode(ftype: FileType, perms: int = 0o644) -> int:
@@ -71,7 +79,7 @@ def make_mode(ftype: FileType, perms: int = 0o644) -> int:
 def mode_type(mode: int) -> FileType:
     """The file type a mode word stores; type bits that name no type
     read as ``FileType.NONE``."""
-    return _FILE_TYPES.get(mode >> _TYPE_SHIFT, FileType.NONE)
+    return FILE_TYPES.get(mode >> _TYPE_SHIFT, _NONE)
 
 
 def read_slot(raw, offset: int = 0, verify: bool = True) -> tuple | None:
@@ -84,15 +92,16 @@ def read_slot(raw, offset: int = 0, verify: bool = True) -> tuple | None:
     checksum verification (zero is not a valid CRC of the zero prefix,
     and free slots are simply never written).  Any nonzero slot must
     checksum."""
-    body = raw[offset : offset + _SIZE]
-    if len(body) < _SIZE:
-        raise ValueError(f"inode slot too short: {len(body)} bytes")
-    if body == _ZERO_SLOT:
+    if len(raw) < offset + _SIZE:
+        raise ValueError(f"inode slot too short: {len(raw[offset : offset + _SIZE])} bytes")
+    fields = _unpack_slot_from(raw, offset)
+    stored_crc = fields[-1]
+    # Every byte of the slot is some field, so all-zero fields are a
+    # zeroed slot; a stored CRC of zero is rare enough to test first.
+    if not stored_crc and not any(fields):
         return None
-    fields = _unpack_slot(body)
     if verify:
-        stored_crc = fields[-1]
-        actual_crc = checksum32(body[:-4])
+        actual_crc = checksum32(raw[offset : offset + _SIZE - 4])
         if actual_crc != stored_crc:
             raise ValueError(f"inode checksum mismatch: stored 0x{stored_crc:08x}, computed 0x{actual_crc:08x}")
     return fields
@@ -132,17 +141,19 @@ class OnDiskInode:
     def perms(self) -> int:
         return self.mode & _PERM_MASK
 
+    # The type bits compared directly: equal to testing ``ftype``, since
+    # bits that name no type read as NONE, which is none of these.
     @property
     def is_regular(self) -> bool:
-        return self.ftype == FileType.REGULAR
+        return self.mode >> _TYPE_SHIFT == _REGULAR
 
     @property
     def is_dir(self) -> bool:
-        return self.ftype == FileType.DIRECTORY
+        return self.mode >> _TYPE_SHIFT == _DIRECTORY
 
     @property
     def is_symlink(self) -> bool:
-        return self.ftype == FileType.SYMLINK
+        return self.mode >> _TYPE_SHIFT == _SYMLINK
 
     @property
     def is_free(self) -> bool:
@@ -158,8 +169,7 @@ class OnDiskInode:
     def pack(self) -> bytes:
         if len(self.direct) != N_DIRECT:
             raise ValueError(f"inode has {len(self.direct)} direct pointers, expected {N_DIRECT}")
-        body = struct.pack(
-            _FORMAT,
+        body = _pack_body(
             self.mode,
             self.uid,
             self.gid,
@@ -173,17 +183,19 @@ class OnDiskInode:
             *self.direct,
             self.indirect,
             self.double_indirect,
-            0,
         )
-        crc = checksum32(body[: _SIZE - 4])
-        body = body[: _SIZE - 4] + struct.pack("<I", crc)
-        return body + b"\x00" * (INODE_SIZE - len(body))
+        return body + checksum32(body).to_bytes(4, "little") + _SLOT_PAD
 
     @classmethod
     def unpack(cls, raw: bytes, verify: bool = True) -> "OnDiskInode":
         """Parse a 256-byte inode slot as :func:`read_slot` reads it; a
         zero slot parses as a free inode."""
-        fields = read_slot(raw, verify=verify)
+        return cls.from_slot(read_slot(raw, verify=verify))
+
+    @classmethod
+    def from_slot(cls, fields: tuple | None) -> "OnDiskInode":
+        """The inode :func:`read_slot` returned ``fields`` for (None, a
+        zeroed slot, is a free inode)."""
         if fields is None:
             return cls()
         return cls(*fields[:10], list(fields[10 : 10 + N_DIRECT]), fields[10 + N_DIRECT], fields[11 + N_DIRECT])

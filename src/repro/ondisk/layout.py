@@ -104,6 +104,27 @@ class DiskLayout:
         """Total inodes on the image."""
         return self.group_count * self.inodes_per_group
 
+    # Per-group geometry tables, indexed by group: the hot readers (an
+    # inode's location, a pointer's metadata test, a bitmap bit) index
+    # these instead of chaining the range-checked per-group helpers.
+    # They are arithmetic of the immutable fields, not image state.
+
+    @cached_property
+    def block_bitmap_blocks(self) -> tuple[int, ...]:
+        return tuple(self._meta_start(group) for group in range(self.group_count))
+
+    @cached_property
+    def inode_bitmap_blocks(self) -> tuple[int, ...]:
+        return tuple(self._meta_start(group) + 1 for group in range(self.group_count))
+
+    @cached_property
+    def inode_table_starts(self) -> tuple[int, ...]:
+        return tuple(self._meta_start(group) + 2 for group in range(self.group_count))
+
+    @cached_property
+    def data_starts(self) -> tuple[int, ...]:
+        return tuple(start + self.inode_table_blocks for start in self.inode_table_starts)
+
     @property
     def journal_start(self) -> int:
         """First journal block (immediately after the superblock)."""
@@ -134,20 +155,20 @@ class DiskLayout:
 
     def block_bitmap_block(self, group: int) -> int:
         self.check_group(group)
-        return self._meta_start(group)
+        return self.block_bitmap_blocks[group]
 
     def inode_bitmap_block(self, group: int) -> int:
         self.check_group(group)
-        return self._meta_start(group) + 1
+        return self.inode_bitmap_blocks[group]
 
     def inode_table_start(self, group: int) -> int:
         self.check_group(group)
-        return self._meta_start(group) + 2
+        return self.inode_table_starts[group]
 
     def data_start(self, group: int) -> int:
         """First general-purpose data block of ``group``."""
         self.check_group(group)
-        return self._meta_start(group) + 2 + self.inode_table_blocks
+        return self.data_starts[group]
 
     def metadata_blocks(self, group: int) -> list[int]:
         """Every block of ``group`` reserved for metadata (incl. SB/journal)."""
@@ -173,7 +194,7 @@ class DiskLayout:
         A group's metadata is one run from its first block to
         ``data_start`` — ``__post_init__`` rejected any geometry whose
         last group is too short to hold that run."""
-        return block < self.data_start(self.group_of_block(block))
+        return block < self.data_starts[self.group_of_block(block)]
 
     def data_blocks_in_group(self, group: int) -> range:
         """The data-block range of ``group``."""
@@ -196,8 +217,7 @@ class DiskLayout:
 
     def inode_location(self, ino: int) -> tuple[int, int]:
         """Return ``(block, byte_offset)`` of inode ``ino`` on disk."""
-        group = self.group_of_ino(ino)
-        index = self.ino_index_in_group(ino)
-        block = self.inode_table_start(group) + index // INODES_PER_BLOCK
-        offset = (index % INODES_PER_BLOCK) * INODE_SIZE
-        return block, offset
+        self.check_ino(ino)
+        group, index = divmod(ino - 1, self.inodes_per_group)
+        block, slot = divmod(index, INODES_PER_BLOCK)
+        return self.inode_table_starts[group] + block, slot * INODE_SIZE

@@ -31,6 +31,8 @@ STATE_DIRTY = 2
 # root_ino, mount_state, mount_count, write_generation, checksum
 _FORMAT = "<IIIIIIIIIIIIIQI"
 _SIZE = struct.calcsize(_FORMAT)
+_pack_body = struct.Struct(_FORMAT[:-1]).pack  # every field but the checksum
+_BLOCK_PAD = bytes(BLOCK_SIZE - _SIZE)
 
 
 @dataclass
@@ -66,8 +68,7 @@ class Superblock:
 
     def pack(self) -> bytes:
         """Serialize to one block, checksum included."""
-        body = struct.pack(
-            _FORMAT,
+        body = _pack_body(
             self.magic,
             self.version,
             self.block_size,
@@ -82,11 +83,8 @@ class Superblock:
             self.mount_state,
             self.mount_count,
             self.write_generation,
-            0,  # checksum placeholder
         )
-        crc = checksum32(body[: _SIZE - 4])
-        body = body[: _SIZE - 4] + struct.pack("<I", crc)
-        return body + b"\x00" * (BLOCK_SIZE - len(body))
+        return body + checksum32(body).to_bytes(4, "little") + _BLOCK_PAD
 
     @classmethod
     def unpack(cls, block: bytes, verify: bool = True) -> "Superblock":

@@ -29,9 +29,30 @@ from typing import NoReturn
 
 from repro.errors import InvariantViolation
 from repro.ondisk.directory import DirEntry, walk_entries
-from repro.ondisk.inode import FileType, MAX_FILE_SIZE, OnDiskInode
+from repro.ondisk.inode import (
+    FileType,
+    MAX_FILE_SIZE,
+    OnDiskInode,
+    SLOT_MODE,
+    SLOT_NLINK,
+    SLOT_POINTERS,
+    SLOT_SIZE,
+    mode_type,
+)
 from repro.ondisk.layout import BLOCK_SIZE, DiskLayout
 from repro.ondisk.superblock import STATE_CLEAN, STATE_DIRTY, Superblock
+
+
+# Directory entries store u32 inode numbers: below BASIC nothing bounds them.
+_NO_INO_BOUND = 0xFFFF_FFFF
+
+
+# Operation argument -> (accepted types, the type named when it is refused).
+_ARG_TYPES: dict[str, tuple[type | tuple[type, ...], str]] = {
+    **dict.fromkeys(("path", "src", "dst", "existing", "new"), (str, "str")),
+    **dict.fromkeys(("fd", "length", "offset", "size", "whence", "perms", "flags"), (int, "int")),
+    "data": ((bytes, bytearray), "bytes"),
+}
 
 
 class CheckLevel(enum.IntEnum):
@@ -40,11 +61,20 @@ class CheckLevel(enum.IntEnum):
     FULL = 2
 
 
+# Enum members bound to module names: reading a member off its class
+# costs a descriptor call, and every check starts with a level test.
+_BASIC, _FULL = CheckLevel.BASIC, CheckLevel.FULL
+_NONE, _DIRECTORY, _SYMLINK = FileType.NONE, FileType.DIRECTORY, FileType.SYMLINK
+
+
 @dataclass
 class CheckStats:
-    checks_run: int = 0
     failures: int = 0
     by_name: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def checks_run(self) -> int:
+        return sum(self.by_name.values())
 
 
 class ShadowChecks:
@@ -55,9 +85,9 @@ class ShadowChecks:
         self.level = level
         self.stats = CheckStats()
 
-    def _ran(self, name: str) -> None:
-        self.stats.checks_run += 1
-        self.stats.by_name[name] = self.stats.by_name.get(name, 0) + 1
+    def _ran(self, name: str, times: int = 1) -> None:
+        by_name = self.stats.by_name
+        by_name[name] = by_name.get(name, 0) + times
 
     def _fail(self, name: str, message: str) -> NoReturn:
         self.stats.failures += 1
@@ -66,7 +96,7 @@ class ShadowChecks:
     # ---- superblock -------------------------------------------------------
 
     def superblock(self, sb: Superblock) -> None:
-        if self.level < CheckLevel.BASIC:
+        if self.level < _BASIC:
             return
         self._ran("superblock")
         problems = sb.validate_against(self.layout)
@@ -76,7 +106,7 @@ class ShadowChecks:
             self._fail("superblock", f"bad mount state {sb.mount_state}")
 
     def superblock_counts(self, sb: Superblock, free_blocks: int, free_inodes: int) -> None:
-        if self.level < CheckLevel.FULL:
+        if self.level < _FULL:
             return
         self._ran("superblock-counts")
         if sb.free_blocks != free_blocks:
@@ -93,46 +123,67 @@ class ShadowChecks:
     # ---- inodes ------------------------------------------------------------
 
     def inode(self, ino: int, inode: OnDiskInode, allow_orphan: bool = False) -> None:
-        if self.level < CheckLevel.BASIC:
+        if self.level < _BASIC:
             return
-        self._ran("inode")
-        if inode.is_free:
-            self._fail("inode", f"inode {ino} is free but referenced")
-        if inode.ftype not in (FileType.REGULAR, FileType.DIRECTORY, FileType.SYMLINK):
-            self._fail("inode", f"inode {ino} has invalid type (mode 0x{inode.mode:x})")
-        if inode.size > MAX_FILE_SIZE:
-            self._fail("inode", f"inode {ino} size {inode.size} exceeds maximum")
-        if inode.is_dir and inode.size % BLOCK_SIZE:
-            self._fail("inode", f"directory inode {ino} has unaligned size {inode.size}")
-        if inode.is_symlink and not 0 < inode.size < BLOCK_SIZE:
-            self._fail("inode", f"symlink inode {ino} has size {inode.size}")
-        if inode.nlink == 0 and not allow_orphan:
-            self._fail("inode", f"inode {ino} has zero links but is referenced from the namespace")
-        if inode.nlink > 65535:
-            self._fail("inode", f"inode {ino} has implausible nlink {inode.nlink}")
-        for pointer in inode.direct_and_indirect_roots():
-            self.block_pointer(ino, pointer)
+        self._inode(ino, inode.mode, inode.size, inode.nlink, inode.direct_and_indirect_roots(), allow_orphan)
 
-    def block_pointer(self, ino: int, block: int) -> None:
-        if self.level < CheckLevel.BASIC:
+    def inode_slot(self, ino: int, fields: tuple | None, allow_orphan: bool = False) -> None:
+        """:meth:`inode` over the tuple :func:`~repro.ondisk.inode.read_slot`
+        returned (None for a zeroed slot, which is a free inode), so the
+        caller need not decode the slot into an object first."""
+        if self.level < _BASIC:
             return
-        self._ran("block-pointer")
-        if not 0 < block < self.layout.block_count:
-            self._fail("block-pointer", f"inode {ino} references out-of-range block {block}")
-        if self.layout.is_metadata_block(block):
-            self._fail("block-pointer", f"inode {ino} references metadata block {block}")
+        if fields is None:
+            self._inode(ino, 0, 0, 0, (), allow_orphan)
+        else:
+            mode, size, nlink = fields[SLOT_MODE], fields[SLOT_SIZE], fields[SLOT_NLINK]
+            self._inode(ino, mode, size, nlink, fields[SLOT_POINTERS], allow_orphan)
+
+    def _inode(self, ino: int, mode: int, size: int, nlink: int, pointers, allow_orphan: bool) -> None:
+        """The inode predicate over the stored fields: one ``inode`` tick,
+        then one ``block-pointer`` tick per nonzero pointer, counted up to
+        and including a pointer that fails."""
+        self._ran("inode")
+        if mode == 0:
+            self._fail("inode", f"inode {ino} is free but referenced")
+        ftype = mode_type(mode)
+        if ftype is _NONE:
+            self._fail("inode", f"inode {ino} has invalid type (mode 0x{mode:x})")
+        if size > MAX_FILE_SIZE:
+            self._fail("inode", f"inode {ino} size {size} exceeds maximum")
+        if ftype is _DIRECTORY and size % BLOCK_SIZE:
+            self._fail("inode", f"directory inode {ino} has unaligned size {size}")
+        if ftype is _SYMLINK and not 0 < size < BLOCK_SIZE:
+            self._fail("inode", f"symlink inode {ino} has size {size}")
+        if nlink == 0 and not allow_orphan:
+            self._fail("inode", f"inode {ino} has zero links but is referenced from the namespace")
+        if nlink > 65535:
+            self._fail("inode", f"inode {ino} has implausible nlink {nlink}")
+        roots = list(filter(None, pointers))
+        if not roots:
+            return
+        layout = self.layout
+        block_count, per_group, data_starts = layout.block_count, layout.blocks_per_group, layout.data_starts
+        for checked, block in enumerate(roots, 1):
+            if not 0 < block < block_count:
+                self._ran("block-pointer", checked)
+                self._fail("block-pointer", f"inode {ino} references out-of-range block {block}")
+            if block < data_starts[block // per_group]:
+                self._ran("block-pointer", checked)
+                self._fail("block-pointer", f"inode {ino} references metadata block {block}")
+        self._ran("block-pointer", len(roots))
 
     def block_allocated(self, block: int, test_bit) -> None:
         """FULL: a referenced block must be marked allocated.  ``test_bit``
         is a callable (the shadow passes its overlay-aware bitmap read)."""
-        if self.level < CheckLevel.FULL:
+        if self.level < _FULL:
             return
         self._ran("block-allocated")
         if not test_bit(block):
             self._fail("block-allocated", f"referenced block {block} is free in the block bitmap")
 
     def ino_allocated(self, ino: int, test_bit) -> None:
-        if self.level < CheckLevel.FULL:
+        if self.level < _FULL:
             return
         self._ran("ino-allocated")
         if not test_bit(ino):
@@ -140,47 +191,50 @@ class ShadowChecks:
 
     # ---- directories ---------------------------------------------------------
 
-    def _dir_records(self, ino: int, block: int, raw: bytes) -> list[tuple[int, int, str, FileType]]:
-        """Validate one directory block and return the walker's
-        ``(offset, ino, name, file type)`` per live entry.
+    def _dir_walk(self, ino: int, block: int, raw: bytes) -> tuple[list[tuple[int, int, str, FileType]], int]:
+        """Walk one directory block: its live records, and the largest
+        entry inode number the level allows.
 
         The walk happens here, once, at every level (below BASIC it is
         all that happens, and a malformed block raises the walker's
-        ``ValueError``); BASIC and above also range-check every entry's
-        inode number."""
-        if self.level < CheckLevel.BASIC:
-            return walk_entries(raw)
+        ``ValueError``); BASIC and above tick ``dir-block`` and bound
+        every entry's inode number by the inode count — the caller's one
+        loop over the records applies that bound."""
+        if self.level < _BASIC:
+            return walk_entries(raw), _NO_INO_BOUND
         self._ran("dir-block")
         try:
-            records = walk_entries(raw)
+            return walk_entries(raw), self.layout.inode_count
         except ValueError as exc:
             self._fail("dir-block", f"directory {ino} block {block} is malformed: {exc}")
-        inode_count = self.layout.inode_count
-        for _offset, entry_ino, name, _kind in records:
-            if not 1 <= entry_ino <= inode_count:
-                self._fail("dir-block", f"directory {ino} entry {name!r} points at inode {entry_ino}")
-        return records
 
     def dir_block(self, ino: int, block: int, raw: bytes) -> list[DirEntry]:
         """Check one directory block and return its live entries; the
         caller works on them rather than parsing the block again."""
-        return [
-            DirEntry(entry_ino, name, kind, offset)
-            for offset, entry_ino, name, kind in self._dir_records(ino, block, raw)
-        ]
+        records, bound = self._dir_walk(ino, block, raw)
+        entries = []
+        for offset, entry_ino, name, kind in records:
+            if entry_ino > bound:
+                self._fail("dir-block", f"directory {ino} entry {name!r} points at inode {entry_ino}")
+            entries.append(DirEntry(entry_ino, name, kind, offset))
+        return entries
 
     def dir_lookup(self, ino: int, block: int, raw: bytes, name: str) -> DirEntry | None:
         """The entry called ``name`` in one directory block, or None.
         The block is checked exactly as :meth:`dir_block` checks it —
         every name decoded, every inode number in range, one tick —
         and only the match becomes a :class:`DirEntry`."""
-        for offset, entry_ino, stored, kind in self._dir_records(ino, block, raw):
-            if stored == name:
-                return DirEntry(entry_ino, name, kind, offset)
-        return None
+        records, bound = self._dir_walk(ino, block, raw)
+        found = None
+        for offset, entry_ino, stored, kind in records:
+            if entry_ino > bound:
+                self._fail("dir-block", f"directory {ino} entry {stored!r} points at inode {entry_ino}")
+            if stored == name and found is None:
+                found = DirEntry(entry_ino, name, kind, offset)
+        return found
 
     def dir_has_dots(self, ino: int, names: set[str]) -> None:
-        if self.level < CheckLevel.BASIC:
+        if self.level < _BASIC:
             return
         self._ran("dir-dots")
         if "." not in names or ".." not in names:
@@ -191,19 +245,16 @@ class ShadowChecks:
     def input_op(self, name: str, args: dict) -> None:
         """Validate an operation before executing it (§2.3: "validating
         input operations")."""
-        if self.level < CheckLevel.BASIC:
+        if self.level < _BASIC:
             return
         self._ran("input-op")
         for key, value in args.items():
-            if key in ("path", "src", "dst", "existing", "new") and not isinstance(value, str):
-                self._fail("input-op", f"{name}: argument {key} is {type(value).__name__}, not str")
-            if key in ("fd", "length", "offset", "size", "whence", "perms", "flags") and not isinstance(value, int):
-                self._fail("input-op", f"{name}: argument {key} is {type(value).__name__}, not int")
-            if key == "data" and not isinstance(value, (bytes, bytearray)):
-                self._fail("input-op", f"{name}: argument data is {type(value).__name__}, not bytes")
+            expected = _ARG_TYPES.get(key)
+            if expected is not None and not isinstance(value, expected[0]):
+                self._fail("input-op", f"{name}: argument {key} is {type(value).__name__}, not {expected[1]}")
 
     def fd_state(self, fd: int, ino: int, offset: int) -> None:
-        if self.level < CheckLevel.BASIC:
+        if self.level < _BASIC:
             return
         self._ran("fd-state")
         if fd < 3:

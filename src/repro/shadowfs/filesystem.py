@@ -6,9 +6,12 @@ possible yet equivalent implementation" (§2.3):
 
 * **sequential and synchronous** — one operation at a time, device reads
   issued directly, no queues;
-* **no caches** — path lookup starts at the root inode and scans
-  directory entries every time; inodes and bitmaps are re-read (through
-  the overlay) on every use;
+* **no caches** — no block, inode, entry or check verdict is kept
+  between uses: path lookup starts at the root inode and scans directory
+  entries every time; inodes and bitmaps are re-read (through the
+  overlay) on every use, each in one pass over the bytes in place.  The
+  only thing computed once is the layout's per-group geometry tables,
+  arithmetic of the immutable superblock fields rather than image state;
 * **never writes to the device** — construction wraps the device in a
   :class:`WriteFencedDevice`, and every mutation lands in the
   :class:`Overlay`, an in-memory block map that is simultaneously the
@@ -42,15 +45,17 @@ from repro.api import (
 from repro.basefs.vfs import FdState, FdTable
 from repro.blockdev.device import BlockDevice, WriteFencedDevice
 from repro.errors import DeviceError, Errno, FsError, InvariantViolation
-from repro.ondisk.bitmap import Bitmap, bit_in_block
-from repro.ondisk.directory import DirBlock, DirEntry
+from repro.ondisk.bitmap import count_set_in_block, first_clear_in_block, with_bit
+from repro.ondisk.directory import DirBlock, DirEntry, has_room_for
 from repro.ondisk.inode import (
     FileType,
     MAX_FILE_SIZE,
     N_DIRECT,
     OnDiskInode,
     PTRS_PER_BLOCK,
+    SLOT_NLINK,
     make_mode,
+    read_slot,
 )
 from repro.ondisk.journal import replay_journal
 from repro.ondisk.layout import BLOCK_SIZE, INODE_SIZE
@@ -59,6 +64,10 @@ from repro.ondisk.superblock import STATE_DIRTY, Superblock
 from repro.shadowfs.checks import CheckLevel, ShadowChecks
 
 MAX_SYMLINK_TARGET = BLOCK_SIZE - 1
+_FREE_SLOT = bytes(INODE_SIZE)
+# The open flags as plain int masks, tested against ``int(flags)``: an
+# IntFlag operation builds an enum member every time.
+_CREAT, _EXCL, _TRUNC, _APPEND = (int(flag) for flag in (OpenFlags.CREAT, OpenFlags.EXCL, OpenFlags.TRUNC, OpenFlags.APPEND))
 READ_RETRIES = 3  # transient device faults are retried, a runtime-check-era courtesy
 
 
@@ -106,15 +115,9 @@ class Ref:
 
 
 class ShadowFilesystem(FilesystemAPI):
-    def __init__(
-        self,
-        device: BlockDevice,
-        check_level: CheckLevel = CheckLevel.FULL,
-        shared_pages: dict[tuple[int, int], bytes] | None = None,
-    ):
+    def __init__(self, device: BlockDevice, check_level: CheckLevel = CheckLevel.FULL):
         self.device = WriteFencedDevice(device)
         self.overlay = Overlay()
-        self.shared_pages = shared_pages or {}
         self.fd_table = FdTable()
         self.ino_hint: int | None = None  # constrained-mode allocation directive
         self._orphans: set[int] = set()
@@ -165,60 +168,55 @@ class ShadowFilesystem(FilesystemAPI):
         self._write_block(0, self.sb.pack(), role="sb")
 
     def _count_free_blocks(self) -> int:
-        return sum(self._read_block_bitmap(g).count_free() for g in range(self.layout.group_count))
+        nbits = self.layout.blocks_per_group
+        return sum(nbits - count_set_in_block(self._read_block(b), nbits) for b in self.layout.block_bitmap_blocks)
 
     def _count_free_inodes(self) -> int:
-        return sum(self._read_inode_bitmap(g).count_free() for g in range(self.layout.group_count))
+        nbits = self.layout.inodes_per_group
+        return sum(nbits - count_set_in_block(self._read_block(b), nbits) for b in self.layout.inode_bitmap_blocks)
 
     # ------------------------------------------------------------------
-    # bitmaps
-
-    def _read_block_bitmap(self, group: int) -> Bitmap:
-        return Bitmap.from_block(self.layout.blocks_per_group, self._read_block(self.layout.block_bitmap_block(group)))
-
-    def _read_inode_bitmap(self, group: int) -> Bitmap:
-        return Bitmap.from_block(self.layout.inodes_per_group, self._read_block(self.layout.inode_bitmap_block(group)))
+    # bitmaps: bits are read and flipped on the raw blocks in place
 
     def _block_is_allocated(self, block: int) -> bool:
         layout = self.layout
         group = layout.group_of_block(block)
-        raw = self._read_block(layout.block_bitmap_block(group))
-        return bit_in_block(raw, layout.blocks_per_group, block - layout.group_start(group))
+        bit = block - group * layout.blocks_per_group
+        return bool(self._read_block(layout.block_bitmap_blocks[group])[bit >> 3] & (1 << (bit & 7)))
 
     def _ino_is_allocated(self, ino: int) -> bool:
-        layout = self.layout
-        group = layout.group_of_ino(ino)
-        raw = self._read_block(layout.inode_bitmap_block(group))
-        return bit_in_block(raw, layout.inodes_per_group, layout.ino_index_in_group(ino))
+        """The inode bitmap bit of ``ino``, which the caller range-checked."""
+        group, bit = divmod(ino - 1, self.layout.inodes_per_group)
+        return bool(self._read_block(self.layout.inode_bitmap_blocks[group])[bit >> 3] & (1 << (bit & 7)))
 
     def _alloc_block(self) -> int:
         """First-fit block allocation, groups scanned from zero."""
         if self.sb.free_blocks < 1:
             raise FsError(Errno.ENOSPC, "no free blocks")
-        for group in range(self.layout.group_count):
-            bitmap = self._read_block_bitmap(group)
-            bit = bitmap.find_free(start=0)
+        nbits = self.layout.blocks_per_group
+        for group, bitmap_block in enumerate(self.layout.block_bitmap_blocks):
+            raw = self._read_block(bitmap_block)
+            bit = first_clear_in_block(raw, nbits)
             if bit is None:
                 continue
-            bitmap.set(bit)
-            self._write_block(self.layout.block_bitmap_block(group), bitmap.to_block(), role="bitmap")
+            self._write_block(bitmap_block, with_bit(raw, nbits, bit, True), role="bitmap")
             self.sb.free_blocks -= 1
             self._sb_flush()
-            return self.layout.group_start(group) + bit
+            return group * nbits + bit
         raise FsError(Errno.ENOSPC, "all groups full")
 
     def _free_block(self, block: int, page: tuple[int, int] | None = None) -> None:
         """Free ``block``; ``page`` is the ``(ino, logical)`` it held file
         data for, if it did — the one key ``data_pages`` can know it by."""
-        group = self.layout.group_of_block(block)
-        if self.layout.is_metadata_block(block):
+        layout = self.layout
+        if layout.is_metadata_block(block):
             raise InvariantViolation(f"attempt to free metadata block {block}", check="free-metadata-block")
-        bit = block - self.layout.group_start(group)
-        bitmap = self._read_block_bitmap(group)
-        if not bitmap.test(bit):
+        group, bit = divmod(block, layout.blocks_per_group)
+        bitmap_block = layout.block_bitmap_blocks[group]
+        raw = self._read_block(bitmap_block)
+        if not raw[bit >> 3] & (1 << (bit & 7)):
             raise InvariantViolation(f"double free of block {block}", check="block-double-free")
-        bitmap.clear(bit)
-        self._write_block(self.layout.block_bitmap_block(group), bitmap.to_block(), role="bitmap")
+        self._write_block(bitmap_block, with_bit(raw, layout.blocks_per_group, bit, False), role="bitmap")
         self.sb.free_blocks += 1
         self._sb_flush()
         self.overlay.blocks.pop(block, None)
@@ -247,33 +245,32 @@ class ShadowFilesystem(FilesystemAPI):
                 )
             self._claim_inode(ino)
             return ino
-        for group in range(self.layout.group_count):
-            bitmap = self._read_inode_bitmap(group)
-            bit = bitmap.find_free(start=0)
+        nbits = self.layout.inodes_per_group
+        for group, bitmap_block in enumerate(self.layout.inode_bitmap_blocks):
+            bit = first_clear_in_block(self._read_block(bitmap_block), nbits)
             if bit is None:
                 continue
-            ino = group * self.layout.inodes_per_group + bit + 1
+            ino = group * nbits + bit + 1
             self._claim_inode(ino)
             return ino
         raise FsError(Errno.ENOSPC, "all inode groups full")
 
     def _claim_inode(self, ino: int) -> None:
-        group = self.layout.group_of_ino(ino)
-        bit = self.layout.ino_index_in_group(ino)
-        bitmap = self._read_inode_bitmap(group)
-        bitmap.set(bit)
-        self._write_block(self.layout.inode_bitmap_block(group), bitmap.to_block(), role="bitmap")
+        nbits = self.layout.inodes_per_group
+        group, bit = divmod(ino - 1, nbits)
+        bitmap_block = self.layout.inode_bitmap_blocks[group]
+        self._write_block(bitmap_block, with_bit(self._read_block(bitmap_block), nbits, bit, True), role="bitmap")
         self.sb.free_inodes -= 1
         self._sb_flush()
 
     def _free_inode_number(self, ino: int) -> None:
-        group = self.layout.group_of_ino(ino)
-        bit = self.layout.ino_index_in_group(ino)
-        bitmap = self._read_inode_bitmap(group)
-        if not bitmap.test(bit):
+        nbits = self.layout.inodes_per_group
+        group, bit = divmod(ino - 1, nbits)
+        bitmap_block = self.layout.inode_bitmap_blocks[group]
+        raw = self._read_block(bitmap_block)
+        if not raw[bit >> 3] & (1 << (bit & 7)):
             raise InvariantViolation(f"double free of inode {ino}", check="inode-double-free")
-        bitmap.clear(bit)
-        self._write_block(self.layout.inode_bitmap_block(group), bitmap.to_block(), role="bitmap")
+        self._write_block(bitmap_block, with_bit(raw, nbits, bit, False), role="bitmap")
         self.sb.free_inodes += 1
         self._sb_flush()
 
@@ -281,30 +278,32 @@ class ShadowFilesystem(FilesystemAPI):
     # inodes
 
     def _iget(self, ino: int, allow_orphan: bool = False) -> Ref:
-        self.layout.check_ino(ino)
+        """Read, check and decode inode ``ino``: its slot is read once, in
+        place in its table block, and checked as stored fields before it
+        becomes an :class:`OnDiskInode`."""
+        block, offset = self.layout.inode_location(ino)
+        fields = read_slot(self._read_block(block), offset)
+        if fields is not None and fields[SLOT_NLINK] == 0 and not allow_orphan:
+            # the one case the inode check reads allow_orphan in
+            allow_orphan = ino in self._orphans or bool(self.fd_table.fds_for_ino(ino))
+        self.checks.inode_slot(ino, fields, allow_orphan=allow_orphan)
+        self.checks.ino_allocated(ino, self._ino_is_allocated)
+        return Ref(ino=ino, inode=OnDiskInode.from_slot(fields))
+
+    def _put_slot(self, ino: int, slot: bytes) -> None:
+        """Replace inode ``ino``'s slot: the table block is rebuilt around
+        it in one join."""
         block, offset = self.layout.inode_location(ino)
         raw = self._read_block(block)
-        inode = OnDiskInode.unpack(raw[offset : offset + INODE_SIZE])
-        if inode.nlink == 0 and not allow_orphan:  # the one case checks.inode reads allow_orphan in
-            allow_orphan = ino in self._orphans or bool(self.fd_table.fds_for_ino(ino))
-        self.checks.inode(ino, inode, allow_orphan=allow_orphan)
-        self.checks.ino_allocated(ino, self._ino_is_allocated)
-        return Ref(ino=ino, inode=inode)
+        self._write_block(block, b"".join((raw[:offset], slot, raw[offset + INODE_SIZE :])), role="itable")
+        self.overlay.touched_inos.add(ino)
 
     def _iput(self, ref: Ref) -> None:
         """Write an inode back through the overlay."""
-        block, offset = self.layout.inode_location(ref.ino)
-        raw = bytearray(self._read_block(block))
-        raw[offset : offset + INODE_SIZE] = ref.inode.pack()
-        self._write_block(block, bytes(raw), role="itable")
-        self.overlay.touched_inos.add(ref.ino)
+        self._put_slot(ref.ino, ref.inode.pack())
 
     def _izero(self, ino: int) -> None:
-        block, offset = self.layout.inode_location(ino)
-        raw = bytearray(self._read_block(block))
-        raw[offset : offset + INODE_SIZE] = b"\x00" * INODE_SIZE
-        self._write_block(block, bytes(raw), role="itable")
-        self.overlay.touched_inos.add(ino)
+        self._put_slot(ino, _FREE_SLOT)
 
     def _new_inode(self, ftype: FileType, perms: int, opseq: int) -> Ref:
         ino = self._alloc_inode()
@@ -458,7 +457,7 @@ class ShadowFilesystem(FilesystemAPI):
 
     def _dir_insert_cost(self, ref: Ref, name: str) -> int:
         for block in self._dir_blocks(ref):
-            if DirBlock(self._read_block(block)).free_space_for(name):
+            if has_room_for(self._read_block(block), name):
                 return 0
         cost = 1
         logical = ref.inode.block_count()
@@ -524,8 +523,9 @@ class ShadowFilesystem(FilesystemAPI):
         self.checks.block_allocated(block, self._block_is_allocated)
         return self._read_block(block)[: ref.inode.size].decode()
 
-    def _resolve_entry(self, path: str, follow_last: bool = True) -> tuple[Ref, str, Ref | None]:
-        components = split_path(path)
+    def _resolve_components(self, components: list[str], path: str, follow_last: bool) -> tuple[Ref, str, Ref | None]:
+        """Resolve the validated ``components`` of ``path`` from the root:
+        ``(parent, last name, the entry's inode or None)``."""
         current = self._root()
         if not components:
             return current, "", current
@@ -564,7 +564,7 @@ class ShadowFilesystem(FilesystemAPI):
         raise AssertionError("unreachable")
 
     def _resolve(self, path: str, follow_last: bool = True) -> Ref:
-        _parent, _name, ref = self._resolve_entry(path, follow_last=follow_last)
+        _parent, _name, ref = self._resolve_components(split_path(path), path, follow_last)
         if ref is None:
             raise FsError(Errno.ENOENT, path)
         return ref
@@ -572,7 +572,9 @@ class ShadowFilesystem(FilesystemAPI):
     def _resolve_parent(self, path: str) -> tuple[Ref, str]:
         parents, name = parent_and_name(path)
         parent_path = "/" + "/".join(parents)
-        parent = self._resolve(parent_path, follow_last=True)
+        _grandparent, _name, parent = self._resolve_components(parents, parent_path, follow_last=True)
+        if parent is None:
+            raise FsError(Errno.ENOENT, parent_path)
         if not parent.inode.is_dir:
             raise FsError(Errno.ENOTDIR, parent_path)
         return parent, name
@@ -824,7 +826,7 @@ class ShadowFilesystem(FilesystemAPI):
                 logical = keep - 1
                 physical = self._resolve_logical(ref.inode, logical)
                 if physical:
-                    data = bytearray(self._data_block_read(ref.ino, logical, physical))
+                    data = bytearray(self._read_block(physical))
                     data[within:] = b"\x00" * (BLOCK_SIZE - within)
                     self._write_block(physical, bytes(data), role="data")
                     self.overlay.data_pages[(ref.ino, logical)] = physical
@@ -834,17 +836,19 @@ class ShadowFilesystem(FilesystemAPI):
         self._iput(ref)
 
     def open(self, path: str, flags: OpenFlags = OpenFlags.NONE, perms: int = 0o644, opseq: int = 0) -> int:
-        self.checks.input_op("open", {"path": path, "flags": int(flags), "perms": perms})
-        parent_and_name(path)  # reject "/"
-        if flags & OpenFlags.CREAT and flags & OpenFlags.EXCL:
-            parent, name, found = self._resolve_entry(path, follow_last=False)
+        mask = int(flags)
+        self.checks.input_op("open", {"path": path, "flags": mask, "perms": perms})
+        parents, name = parent_and_name(path)  # rejects "/"
+        components = [*parents, name]
+        if mask & _CREAT and mask & _EXCL:
+            parent, name, found = self._resolve_components(components, path, follow_last=False)
             if found is not None:
                 raise FsError(Errno.EEXIST, path)
         else:
-            parent, name, found = self._resolve_entry(path, follow_last=True)
+            parent, name, found = self._resolve_components(components, path, follow_last=True)
 
         if found is None:
-            if not flags & OpenFlags.CREAT:
+            if not mask & _CREAT:
                 raise FsError(Errno.ENOENT, path)
             needed = self._dir_insert_cost(parent, name)
             if self.sb.free_blocks < needed:
@@ -863,7 +867,7 @@ class ShadowFilesystem(FilesystemAPI):
                 raise FsError(Errno.ELOOP, path)
 
         state = self.fd_table.allocate(child.ino, flags)
-        if flags & OpenFlags.TRUNC and child.inode.size:
+        if mask & _TRUNC and child.inode.size:
             self._truncate_ref(child, 0, opseq)
         return state.fd
 
@@ -874,17 +878,6 @@ class ShadowFilesystem(FilesystemAPI):
             self._orphans.discard(state.ino)
             ref = self._iget(state.ino, allow_orphan=True)
             self._destroy_inode(ref)
-
-    def _data_block_read(self, ino: int, logical: int, physical: int) -> bytes:
-        """Data read order: shadow's own overlay, shared (preserved) page
-        cache pages, then the device."""
-        cached = self.overlay.blocks.get(physical)
-        if cached is not None:
-            return cached
-        shared = self.shared_pages.get((ino, logical))
-        if shared is not None:
-            return shared
-        return self._read_block(physical)
 
     def read(self, fd: int, length: int, opseq: int = 0) -> bytes:
         self.checks.input_op("read", {"fd": fd, "length": length})
@@ -906,7 +899,7 @@ class ShadowFilesystem(FilesystemAPI):
             physical = self._resolve_logical(ref.inode, logical)
             if physical:
                 self.checks.block_allocated(physical, self._block_is_allocated)
-                data = self._data_block_read(state.ino, logical, physical)
+                data = self._read_block(physical)
             else:
                 data = bytes(BLOCK_SIZE)
             out += data[within : within + take]
@@ -924,7 +917,7 @@ class ShadowFilesystem(FilesystemAPI):
             raise FsError(Errno.EISDIR, f"fd {fd}")
         if not data:
             return 0
-        offset = ref.inode.size if state.flags & OpenFlags.APPEND else state.offset
+        offset = ref.inode.size if int(state.flags) & _APPEND else state.offset
         end = offset + len(data)
         if end > MAX_FILE_SIZE:
             raise FsError(Errno.EFBIG, f"write to {end}")
@@ -965,7 +958,7 @@ class ShadowFilesystem(FilesystemAPI):
                 if within == 0 and take == BLOCK_SIZE:
                     block = bytearray(BLOCK_SIZE)
                 else:
-                    block = bytearray(self._data_block_read(state.ino, logical, physical))
+                    block = bytearray(self._read_block(physical))
             else:
                 physical = self._alloc_block()
                 self._map_block(ref, logical, physical)

@@ -13,16 +13,15 @@ import zlib
 from pathlib import Path
 
 
-def checksum32(data: bytes, running: int = 0) -> int:
-    """32-bit checksum used by on-disk structures (CRC-32 via zlib).
-
-    The real ext4 uses crc32c; plain crc32 has the same role here — detect
-    silent corruption of metadata blocks — and is available without C
-    extensions.  ``running`` is the checksum of what precedes ``data``:
-    ``checksum32(b, checksum32(a)) == checksum32(a + b)`` without the
-    concatenation.
-    """
-    return zlib.crc32(data, running) & 0xFFFFFFFF
+# ``checksum32(data[, running])``: the 32-bit checksum used by on-disk
+# structures, CRC-32 via zlib.  The real ext4 uses crc32c; plain crc32
+# has the same role here — detect silent corruption of metadata blocks —
+# and is available without C extensions.  ``running`` (positional) is the
+# checksum of what precedes ``data``: ``checksum32(b, checksum32(a)) ==
+# checksum32(a + b)`` without the concatenation.  zlib's function itself,
+# unwrapped: it already returns the unsigned 32-bit value, and every
+# inode read and write computes one.
+checksum32 = zlib.crc32
 
 
 class LogicalClock:

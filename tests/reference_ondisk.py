@@ -6,8 +6,10 @@ they were rebuilt on ``walk_records``/``walk_entries``/``read_slot``:
 copy the block, parse every record into an object, look through the
 objects.  Likewise the one-pointer reads and writes every block map did
 before ``pointer_at``/``with_pointer`` (unpack all 1024 pointers, index
-or set one, pack all 1024 back), and ``PageCache.dirty_pages`` before it
-sorted only the dirty pages.  They share nothing with ``src/`` but the
+or set one, pack all 1024 back), ``PageCache.dirty_pages`` before it
+sorted only the dirty pages, and the shadow's two-pass ``walk_entries``
+and its inode read (``ShadowFilesystem._iget`` with ``ShadowChecks.inode``)
+before each became one pass.  They share nothing with ``src/`` but the
 struct formats and constants, so an edit to a walker cannot move its
 reference with it.
 """
@@ -184,3 +186,84 @@ def reference_validate_txn(fs, txn: dict[int, bytes]) -> list[str]:
             if not fs.alloc.block_bitmaps[group].test(bit):
                 problems.append(f"journaled {role} block {block} is not allocated in the bitmap")
     return problems
+
+
+
+def reference_walk_entries(raw: bytes) -> list[tuple[int, int, str, FileType]]:
+    """``walk_entries`` as it stood at a417616: walk the chain, then walk
+    its live records again for their names and types."""
+    live = []
+    for offset, ino, _rec_len, name_len, ftype in reference_records(raw):
+        if ino == 0:
+            continue
+        start = offset + _HEADER_SIZE
+        name = raw[start : start + name_len].decode()
+        kind = FileType(ftype)
+        if name_len == 0:
+            raise ValueError("empty directory entry name")
+        live.append((offset, ino, name, kind))
+    return live
+
+
+_TYPE_SHIFT = 12
+_LIVE_TYPES = (int(FileType.REGULAR), int(FileType.DIRECTORY), int(FileType.SYMLINK))
+
+
+def _tick(stats, name: str) -> None:
+    stats.by_name[name] = stats.by_name.get(name, 0) + 1
+
+
+def _refuse(stats, name: str, message: str):
+    stats.failures += 1
+    raise InvariantViolation(message, check=name)
+
+
+def reference_iget(shadow, ino: int, allow_orphan: bool = False, level: int = 2) -> OnDiskInode:
+    """``ShadowFilesystem._iget`` with ``ShadowChecks.inode``,
+    ``block_pointer``, ``ino_allocated`` and ``_ino_is_allocated`` as they
+    stood at a417616, reading ``shadow``'s blocks and counting into its
+    check statistics; ``level`` is the check level (0 OFF, 1 BASIC, 2 FULL)."""
+    layout, stats = shadow.layout, shadow.checks.stats
+    if not 1 <= ino <= layout.inode_count:
+        raise ValueError(f"inode {ino} out of range [1, {layout.inode_count}]")
+    group, index = (ino - 1) // layout.inodes_per_group, (ino - 1) % layout.inodes_per_group
+    meta_start = 1 + layout.journal_blocks if group == 0 else group * layout.blocks_per_group
+    block = meta_start + 2 + index // (BLOCK_SIZE // INODE_SIZE)
+    offset = (index % (BLOCK_SIZE // INODE_SIZE)) * INODE_SIZE
+    raw = shadow._read_block(block)
+    inode = reference_unpack(raw[offset : offset + INODE_SIZE])
+    if inode.nlink == 0 and not allow_orphan:
+        allow_orphan = ino in shadow._orphans or bool(shadow.fd_table.fds_for_ino(ino))
+    if level >= 1:
+        _tick(stats, "inode")
+        kind = inode.mode >> _TYPE_SHIFT
+        if inode.mode == 0:
+            _refuse(stats, "inode", f"inode {ino} is free but referenced")
+        if kind not in _LIVE_TYPES:
+            _refuse(stats, "inode", f"inode {ino} has invalid type (mode 0x{inode.mode:x})")
+        if inode.size > MAX_FILE_SIZE:
+            _refuse(stats, "inode", f"inode {ino} size {inode.size} exceeds maximum")
+        if kind == FileType.DIRECTORY and inode.size % BLOCK_SIZE:
+            _refuse(stats, "inode", f"directory inode {ino} has unaligned size {inode.size}")
+        if kind == FileType.SYMLINK and not 0 < inode.size < BLOCK_SIZE:
+            _refuse(stats, "inode", f"symlink inode {ino} has size {inode.size}")
+        if inode.nlink == 0 and not allow_orphan:
+            _refuse(stats, "inode", f"inode {ino} has zero links but is referenced from the namespace")
+        if inode.nlink > 65535:
+            _refuse(stats, "inode", f"inode {ino} has implausible nlink {inode.nlink}")
+        for pointer in [*inode.direct, inode.indirect, inode.double_indirect]:
+            if not pointer:
+                continue
+            _tick(stats, "block-pointer")
+            if not 0 < pointer < layout.block_count:
+                _refuse(stats, "block-pointer", f"inode {ino} references out-of-range block {pointer}")
+            pointer_group = pointer // layout.blocks_per_group
+            pointer_meta = 1 + layout.journal_blocks if pointer_group == 0 else pointer_group * layout.blocks_per_group
+            if pointer < pointer_meta + 2 + layout.inodes_per_group // (BLOCK_SIZE // INODE_SIZE):
+                _refuse(stats, "block-pointer", f"inode {ino} references metadata block {pointer}")
+    if level >= 2:
+        _tick(stats, "ino-allocated")
+        bitmap = bytearray(shadow._read_block(meta_start + 1))
+        if not bitmap[index // 8] & (1 << (index % 8)):
+            _refuse(stats, "ino-allocated", f"referenced inode {ino} is free in the inode bitmap")
+    return inode

@@ -345,6 +345,67 @@ class TestRecoveryFailureTimings:
         assert e.value.phase_seconds["handoff"] == 0.0
 
 
+class TestMountPhaseFailures:
+    """A failure while remounting the base or mounting the shadow is a
+    failed recovery like any other: a :class:`RecoveryFailure` naming its
+    phase, a "failure" bundle and one counted failure — never a raw
+    ``ValueError``/``InvariantViolation`` reaching the application."""
+
+    @staticmethod
+    def _rewrite_superblock(device, **fields) -> None:
+        from repro.ondisk.superblock import Superblock
+
+        sb = Superblock.unpack(device.read_block(0))
+        for name, value in fields.items():
+            setattr(sb, name, value)
+        device.write_block(0, sb.pack())
+
+    def _fail_recovery(self, rae) -> RecoveryFailure:
+        with pytest.raises(RecoveryFailure) as e:
+            rae.mkdir("/evil-dir")
+        stats = rae.stats.recovery
+        assert (stats.attempts, stats.failures, stats.successes) == (1, 1, 0)
+        bundle = rae.last_bundle
+        assert bundle["outcome"] == "failure"
+        assert bundle["failure"]["phase"] == e.value.phase
+        assert set(bundle["phases"]) >= {"reboot", "replay", "handoff", "total"}
+        return e.value
+
+    def test_bad_superblock_magic_fails_the_reboot(self, device, hooks):
+        crash_on_name(hooks, "evil")
+        rae = RAEFilesystem(device, RAEConfig(), hooks=hooks)
+        rae.mkdir("/a")
+        self._rewrite_superblock(device, magic=0xDEAD_BEEF)
+        failure = self._fail_recovery(rae)
+        assert failure.phase == "reboot"
+        assert "bad superblock magic" in str(failure)
+        assert isinstance(failure.__cause__, ValueError)
+        assert failure.phase_seconds["reboot"] > 0
+        assert failure.phase_seconds["replay"] == 0.0
+
+    def test_free_count_only_the_shadow_checks_fails_its_mount(self, device, hooks):
+        from repro.errors import InvariantViolation
+
+        from repro.ondisk.superblock import Superblock
+
+        crash_on_name(hooks, "evil")
+        # A checksummed superblock whose free count is one short: the base
+        # mounts it, and remounts it, without counting the bitmaps (no
+        # commit runs, so validate-on-sync never compares them either);
+        # only the shadow's FULL mount checks do.
+        free_blocks = Superblock.unpack(device.read_block(0)).free_blocks
+        self._rewrite_superblock(device, free_blocks=free_blocks - 1)
+        rae = RAEFilesystem(device, RAEConfig(), hooks=hooks)
+        rae.mkdir("/a")
+        failure = self._fail_recovery(rae)
+        assert failure.phase == "shadow-mount"
+        assert isinstance(failure.__cause__, InvariantViolation)
+        assert failure.__cause__.check == "superblock-counts"
+        assert failure.phase_seconds["reboot"] > 0
+        assert failure.phase_seconds["replay"] > 0
+        assert failure.phase_seconds["handoff"] == 0.0
+
+
 class TestBoundedEventHistory:
     def test_event_ring_bounded_counts_cumulative(self, device, hooks):
         crash_on_name(hooks, "evil")
