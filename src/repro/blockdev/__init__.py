@@ -19,6 +19,7 @@ This package models the storage stack below the filesystem:
 from repro.blockdev.device import (
     BlockDevice,
     CountingDevice,
+    DeviceImage,
     FileBlockDevice,
     MemoryBlockDevice,
     WriteFencedDevice,
@@ -29,6 +30,7 @@ from repro.blockdev.cache import BufferCache
 
 __all__ = [
     "BlockDevice",
+    "DeviceImage",
     "MemoryBlockDevice",
     "FileBlockDevice",
     "WriteFencedDevice",

@@ -7,7 +7,9 @@ on top; the shadow calls ``read_block`` directly, synchronously, which is
 exactly the simplification the paper prescribes (§3.3).
 
 Two concrete devices are provided.  :class:`MemoryBlockDevice` (tests, most
-benchmarks) keeps a shared immutable base image plus the blocks written since.
+benchmarks) keeps a shared immutable sparse base image (a
+:class:`DeviceImage`, what ``snapshot`` returns and ``restore`` adopts)
+plus the blocks written since.
 :class:`FileBlockDevice` backs the image with a file on the host
 filesystem, which lets the shadow run in a genuinely separate OS process
 (``repro.core.procrunner``) while reading the same image the base mounted.
@@ -23,9 +25,12 @@ Wrappers:
 
 from __future__ import annotations
 
+import hashlib
 import os
 from abc import ABC, abstractmethod
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from repro.errors import DeviceError, ShadowWriteAttempt
 
@@ -98,21 +103,80 @@ class BlockDevice(ABC):
             )
 
 
+class DeviceImage:
+    """An immutable sparse image of a :class:`MemoryBlockDevice`.
+
+    Geometry plus a read-only map of the blocks that are not all zeros; a
+    zero block is never stored, so equal contents give equal images and
+    ``==`` compares the maps without rendering anything.  ``len()`` is the
+    capacity in bytes and ``bytes(image)`` renders the flat image (for
+    digests and export); flat bytes come back in through
+    :meth:`from_bytes`.
+    """
+
+    __slots__ = ("block_size", "block_count", "_blocks", "blocks")
+
+    def __init__(self, block_size: int, block_count: int, blocks: Mapping[int, bytes] | None = None):
+        zero = bytes(block_size)
+        self.block_size = block_size
+        self.block_count = block_count
+        # bytes() of a bytes is the object itself; of a bytearray, a private copy.
+        self._blocks = {block: bytes(data) for block, data in (blocks or {}).items() if data != zero}
+        self.blocks = MappingProxyType(self._blocks)
+
+    @classmethod
+    def from_bytes(cls, flat: bytes | bytearray, block_size: int = 4096) -> DeviceImage:
+        """The image of a flat byte string of whole ``block_size`` blocks."""
+        count, rest = divmod(len(flat), block_size)
+        if not count or rest:
+            raise ValueError(f"a flat image of {len(flat)} bytes is not whole {block_size}-byte blocks")
+        view = memoryview(flat)
+        return cls(block_size, count, {i: view[i * block_size : (i + 1) * block_size] for i in range(count)})
+
+    def __len__(self) -> int:
+        return self.block_size * self.block_count
+
+    def __bytes__(self) -> bytes:
+        zero = bytes(self.block_size)
+        return b"".join(self._blocks.get(block, zero) for block in range(self.block_count))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeviceImage):
+            return NotImplemented
+        geometry = (self.block_size, self.block_count) == (other.block_size, other.block_count)
+        return geometry and self._blocks == other._blocks
+
+    def digest(self) -> str:
+        """SHA-256 of the geometry and the stored blocks in block order:
+        a content digest that renders nothing."""
+        digest = hashlib.sha256(f"{self.block_size}x{self.block_count}".encode())
+        for block in sorted(self._blocks):
+            digest.update(block.to_bytes(8, "little"))
+            digest.update(self._blocks[block])
+        return digest.hexdigest()
+
+    def __repr__(self) -> str:
+        return f"DeviceImage({self.block_count} x {self.block_size} B, {len(self._blocks)} non-zero)"
+
+
 class MemoryBlockDevice(BlockDevice):
     """A sparse copy-on-write in-memory device with optional crash simulation.
 
-    The image is ``_base`` (the ``bytes`` handed to :meth:`restore`, shared
-    not copied; ``None`` is all zeros) overlaid by ``_overlay``, the blocks
-    written since.  With ``track_durability`` a second overlay, ``_durable``,
-    holds what would survive a power failure: ``flush`` publishes the blocks
-    written since the last one into it and ``crash()`` falls back to it.
-    The journal-atomicity property tests (DESIGN §5.5) are built on this.
+    Every view is a block map.  The image is ``_image`` (the
+    :class:`DeviceImage` handed to :meth:`restore` or made by the last
+    :meth:`snapshot`, shared not copied, never mutated) overlaid by
+    ``_overlay``, the blocks written since; a block written as zeros is
+    held as the one shared ``_zero_block``.  With ``track_durability`` a
+    second overlay, ``_durable``, holds what would survive a power
+    failure: ``flush`` publishes the blocks written since the last one
+    into it and ``crash()`` falls back to it.  The journal-atomicity
+    property tests (DESIGN §5.5) are built on this.
     """
 
     def __init__(self, block_size: int = 4096, block_count: int = 4096, track_durability: bool = False):
         super().__init__(block_size, block_count)
         self._zero_block = bytes(block_size)
-        self._base: bytes | None = None
+        self._image = DeviceImage(block_size, block_count)
         self._overlay: dict[int, bytes] = {}
         self._track_durability = track_durability
         self._durable: dict[int, bytes] = {}
@@ -125,12 +189,9 @@ class MemoryBlockDevice(BlockDevice):
         self.check_block(block)
         self.io_stats.reads += 1
         data = self._overlay.get(block)
-        if data is not None:
-            return data
-        if self._base is None:
-            return self._zero_block
-        off = block * self.block_size
-        return self._base[off : off + self.block_size]
+        if data is None:
+            data = self._image._blocks.get(block, self._zero_block)
+        return data
 
     def write_block(self, block: int, data: bytes) -> None:
         if self._closed:
@@ -138,7 +199,7 @@ class MemoryBlockDevice(BlockDevice):
         self._check_write(block, data)
         self.io_stats.writes += 1
         # bytes() of a bytes is the object itself; of a bytearray, a private copy.
-        self._overlay[block] = bytes(data)
+        self._overlay[block] = self._zero_block if data == self._zero_block else bytes(data)
         if self._track_durability:
             self._dirty_since_flush.add(block)
 
@@ -164,36 +225,37 @@ class MemoryBlockDevice(BlockDevice):
         self._overlay = dict(self._durable)
         self._dirty_since_flush.clear()
 
-    def snapshot(self) -> bytes:
+    def snapshot(self) -> DeviceImage:
         """Return the current (volatile) image: the base itself when nothing
-        was written since :meth:`restore`, else one image-sized copy (the
-        new base, unless un-flushed writes keep the durable view apart).
+        was written since :meth:`restore`, else a new image that shares
+        every block with the base and the overlay (and becomes the new
+        base, unless un-flushed writes keep the durable view apart).
 
         Allowed after :meth:`close`: imaging a device that is no longer in
         service is legitimate and read-only.
         """
-        image = self._base if self._base is not None else bytes(self.size_bytes)
+        image = self._image
         if self._overlay:
-            view, parts, pos = memoryview(image), [], 0
-            for block in sorted(self._overlay):
-                off = block * self.block_size
-                parts += (view[pos:off], self._overlay[block])
-                pos = off + self.block_size
-            image = b"".join(parts + [view[pos:]])
+            image = DeviceImage(self.block_size, self.block_count, {**image._blocks, **self._overlay})
         if not self._dirty_since_flush:
-            self._base = image
+            self._image = image
             self._overlay.clear()
             self._durable.clear()
         return image
 
-    def restore(self, image: bytes) -> None:
+    def restore(self, image: DeviceImage) -> None:
         """Replace the image contents (both volatile and durable views);
-        O(1), an immutable ``image`` is shared rather than copied."""
+        O(1), the immutable ``image`` is shared rather than copied."""
         if self._closed:
             raise DeviceError("device is closed")
-        if len(image) != self.size_bytes:
-            raise DeviceError(f"image is {len(image)} bytes; device holds {self.size_bytes}")
-        self._base = bytes(image)
+        if not isinstance(image, DeviceImage):
+            raise TypeError(f"restore() takes a DeviceImage, not {type(image).__name__} (see DeviceImage.from_bytes)")
+        if (image.block_size, image.block_count) != (self.block_size, self.block_count):
+            raise DeviceError(
+                f"image is {image.block_count} x {image.block_size} B; "
+                f"device holds {self.block_count} x {self.block_size} B"
+            )
+        self._image = image
         self._overlay.clear()
         self._durable.clear()
         self._dirty_since_flush.clear()

@@ -9,7 +9,7 @@ unmount passes fsck" as a foundational invariant.
 
 from __future__ import annotations
 
-from repro.blockdev.device import BlockDevice, MemoryBlockDevice
+from repro.blockdev.device import BlockDevice, DeviceImage, MemoryBlockDevice
 from repro.ondisk.bitmap import Bitmap
 from repro.ondisk.directory import DirBlock
 from repro.ondisk.inode import FileType, OnDiskInode, make_mode
@@ -121,7 +121,7 @@ def mkfs(
     return sb
 
 
-_TEMPLATES: dict[tuple[int, int], bytes] = {}
+_TEMPLATES: dict[tuple[int, int], DeviceImage] = {}
 
 
 def formatted_device(

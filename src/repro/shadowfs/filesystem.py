@@ -348,16 +348,17 @@ class ShadowFilesystem(FilesystemAPI):
         raise FsError(Errno.EFBIG, f"logical block {logical}")
 
     def _map_block(self, ref: Ref, logical: int, physical: int) -> None:
+        """Point ``logical`` at ``physical``, allocating pointer blocks on
+        the way.  The inode is changed in ``ref`` only: the caller puts it
+        once, when its op is done with it."""
         inode = ref.inode
         if logical < N_DIRECT:
             inode.direct[logical] = physical
-            self._iput(ref)
             return
         index = logical - N_DIRECT
         if index < PTRS_PER_BLOCK:
             if not inode.indirect:
                 inode.indirect = self._alloc_pointer_block()
-                self._iput(ref)
             single = self._read_block(inode.indirect)
             self._write_block(inode.indirect, with_pointer(single, index, physical), role="indirect")
             return
@@ -367,7 +368,6 @@ class ShadowFilesystem(FilesystemAPI):
         outer_index, inner_index = divmod(index, PTRS_PER_BLOCK)
         if not inode.double_indirect:
             inode.double_indirect = self._alloc_pointer_block()
-            self._iput(ref)
         outer = self._read_block(inode.double_indirect)
         inner_block = pointer_at(outer, outer_index)
         if not inner_block:

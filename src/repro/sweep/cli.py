@@ -111,6 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({
             "cases": len(report.results),
             "counts": report.outcome_counts(),
+            "distinct_final_images": len(report.image_digests),
             "failures": [
                 {**result.case.params(), "outcome": result.outcome, "detail": result.detail}
                 for result in report.failures
@@ -123,5 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         print(format_report(named_results, report))
         print(f"{len(report.results)} cases in {elapsed:.1f} s "
               f"({len(report.results) / elapsed:.1f} cases/s, traces included)")
+        print(f"explored: {len(report.results) / elapsed:.1f} cases/s, "
+              f"{len(report.image_digests)} distinct final durable images")
 
     return 1 if report.failures else 0

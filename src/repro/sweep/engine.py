@@ -50,7 +50,7 @@ from repro.api import FsOp, OpenFlags
 from repro.basefs.filesystem import BaseFilesystem
 from repro.basefs.journal_mgr import JournalManager
 from repro.blockdev.cache import BufferCache
-from repro.blockdev.device import MemoryBlockDevice
+from repro.blockdev.device import DeviceImage, MemoryBlockDevice
 from repro.blockdev.faults import DeviceFaultPlan, FaultyBlockDevice
 from repro.core.supervisor import RAEConfig, RAEFilesystem
 from repro.errors import KernelBug, RecoveryFailure
@@ -173,13 +173,16 @@ class SweepRunResult:
     detail: str = ""
     bundle: dict | None = None
     minimized_ops: list[FsOp] | None = None
-    image: bytes | None = None  # final durable image (reproducibility checks)
+    image: DeviceImage | None = None  # final durable image (reproducibility checks)
 
 
 @dataclass
 class SweepReport:
     results: list[SweepRunResult] = field(default_factory=list)
     reproducers: list[dict] = field(default_factory=list)
+    #: digests of the distinct final durable images the cases left
+    #: (report-only: a case whose image another left is still run)
+    image_digests: set[str] = field(default_factory=set)
 
     @property
     def failures(self) -> list[SweepRunResult]:
@@ -269,7 +272,7 @@ class SweepEngine:
     def __init__(self, config: SweepConfig | None = None):
         self.config = config or SweepConfig()
         self._scratch = ScratchImage(self.config.block_count, self.config.journal_blocks)
-        self._image_cache: dict[tuple, bytes] = {}
+        self._image_cache: dict[tuple, DeviceImage] = {}
         #: unarmed case -> (trace, reference state)
         self._recordings: dict[SweepCase, tuple[list[CrashPoint], FsState | None]] = {}
 
@@ -345,7 +348,7 @@ class SweepEngine:
     def _workload_ops(self, case: SweepCase) -> list[FsOp]:
         return WorkloadGenerator(self._profile(case.profile), seed=case.workload_seed).ops(case.nops)
 
-    def _device_from(self, image: bytes) -> MemoryBlockDevice:
+    def _device_from(self, image: DeviceImage) -> MemoryBlockDevice:
         mem = MemoryBlockDevice(block_count=self.config.block_count, track_durability=True)
         mem.restore(image)
         return mem
@@ -361,7 +364,7 @@ class SweepEngine:
             if sync is not None and cadence and (index + 1) % cadence == 0:
                 sync()
 
-    def _clean_image(self, case: SweepCase) -> bytes:
+    def _clean_image(self, case: SweepCase) -> DeviceImage:
         """A cleanly unmounted image populated by the case's workload —
         the starting point for the offline-tool scenarios."""
         key = ("clean", case.profile, case.workload_seed, case.nops)
@@ -373,7 +376,7 @@ class SweepEngine:
             self._image_cache[key] = mem.snapshot()
         return self._image_cache[key]
 
-    def _dirty_image(self, case: SweepCase) -> bytes:
+    def _dirty_image(self, case: SweepCase) -> DeviceImage:
         """An image abandoned mid-run — superblock DIRTY, journal holding
         a sealed transaction — for the mount/journal-recover scenarios."""
         key = ("dirty", case.profile, case.workload_seed, case.nops)
@@ -469,7 +472,7 @@ class SweepEngine:
         return trace, reference
 
     def _result(self, case: SweepCase, outcome: str, fired: bool, detail: str = "",
-                bundle: dict | None = None, image: bytes | None = None) -> SweepRunResult:
+                bundle: dict | None = None, image: DeviceImage | None = None) -> SweepRunResult:
         return SweepRunResult(
             case=case, outcome=outcome, fired=fired, detail=detail, bundle=bundle, image=image,
         )
@@ -685,6 +688,8 @@ class SweepEngine:
                 else:
                     result.bundle = self._reproducer_bundle(case, result, None)
                 report.reproducers.append(result.bundle)
+            if result.image is not None:
+                report.image_digests.add(result.image.digest())
             result.image = None  # aggregate reports don't carry images
             report.results.append(result)
         return report

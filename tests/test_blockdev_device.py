@@ -8,6 +8,7 @@ import pytest
 from repro.blockdev.device import (
     BlockDevice,
     CountingDevice,
+    DeviceImage,
     FileBlockDevice,
     MemoryBlockDevice,
     WriteFencedDevice,
@@ -55,14 +56,14 @@ def test_memory_device_close_fences_io():
         dev.write_block(0, b"\x00" * BS)
 
 
-@pytest.mark.parametrize("mutate", [lambda dev: dev.crash(), lambda dev: dev.restore(bytes(dev.size_bytes))])
+@pytest.mark.parametrize("mutate", [lambda dev: dev.crash(), lambda dev: dev.restore(DeviceImage(BS, 4))])
 def test_memory_device_close_fences_crash_and_restore(mutate):
     dev = MemoryBlockDevice(block_count=4, track_durability=True)
     dev.write_block(1, b"a" * BS)
     dev.close()
     with pytest.raises(DeviceError, match="closed"):
         mutate(dev)
-    assert dev.snapshot()[BS : 2 * BS] == b"a" * BS
+    assert dev.snapshot().blocks[1] == b"a" * BS
 
 
 def test_memory_device_snapshot_allowed_after_close():
@@ -102,11 +103,16 @@ def test_snapshot_restore():
 def test_restore_rejects_wrong_size():
     dev = MemoryBlockDevice(block_count=4)
     with pytest.raises(DeviceError):
-        dev.restore(b"tiny")
+        dev.restore(DeviceImage(BS, 3))
+    with pytest.raises(DeviceError):
+        dev.restore(DeviceImage(BS // 2, 8))  # the right capacity in other blocks
+    with pytest.raises(TypeError, match="from_bytes"):
+        dev.restore(bytes(4 * BS))  # flat bytes convert through DeviceImage.from_bytes
 
 
 # ----------------------------------------------------------------------
-# reference model: the flat two-image device MemoryBlockDevice replaced
+# reference model: the flat two-image device MemoryBlockDevice replaced;
+# it speaks flat ``bytes``, the device speaks DeviceImage
 
 
 class FlatMemoryBlockDevice(BlockDevice):
@@ -164,7 +170,7 @@ MODEL_BS, MODEL_BLOCKS = 512, 64
 def _run_schedule(rng: random.Random, track_durability: bool, steps: int) -> None:
     dev = MemoryBlockDevice(MODEL_BS, MODEL_BLOCKS, track_durability)
     ref = FlatMemoryBlockDevice(MODEL_BS, MODEL_BLOCKS, track_durability)
-    images = [bytes(rng.randbytes(MODEL_BS * MODEL_BLOCKS))]
+    images = [DeviceImage.from_bytes(rng.randbytes(MODEL_BS * MODEL_BLOCKS), MODEL_BS)]
     actions = ["write"] * 6 + ["read"] * 4 + ["flush", "flush", "snapshot", "restore"]
     if track_durability:
         actions += ["crash", "crash"]
@@ -172,9 +178,10 @@ def _run_schedule(rng: random.Random, track_durability: bool, steps: int) -> Non
         action = rng.choice(actions)
         if action == "write":
             block = rng.randrange(MODEL_BLOCKS)
-            # Runs of one byte so flushed-then-overwritten blocks are easy to tell apart;
-            # half the writes arrive as a mutable buffer the caller then scribbles on.
-            data = bytes([rng.randrange(256)]) * MODEL_BS
+            # Runs of one byte so flushed-then-overwritten blocks are easy to tell apart,
+            # one in eight of them zeros; half the writes arrive as a mutable buffer
+            # the caller then scribbles on.
+            data = bytes([rng.randrange(256) if rng.random() < 0.875 else 0]) * MODEL_BS
             if rng.random() < 0.5:
                 buffer = bytearray(data)
                 dev.write_block(block, buffer)
@@ -191,12 +198,13 @@ def _run_schedule(rng: random.Random, track_durability: bool, steps: int) -> Non
             ref.flush()
         elif action == "snapshot":
             image = dev.snapshot()
-            assert type(image) is bytes and image == ref.snapshot()
+            assert bytes(image) == ref.snapshot()
+            assert image == DeviceImage.from_bytes(ref.snapshot(), MODEL_BS)
             images.append(image)
         elif action == "restore":
             image = rng.choice(images)
             dev.restore(image)
-            ref.restore(image)
+            ref.restore(bytes(image))
             if track_durability and rng.random() < 0.5:
                 # The durable view was reset to the image too.
                 dev.crash()
@@ -205,8 +213,8 @@ def _run_schedule(rng: random.Random, track_durability: bool, steps: int) -> Non
         else:
             dev.crash()
             ref.crash()
-            assert dev.snapshot() == ref.snapshot()
-    assert dev.snapshot() == ref.snapshot()
+            assert bytes(dev.snapshot()) == ref.snapshot()
+    assert bytes(dev.snapshot()) == ref.snapshot()
     assert dev.io_stats == ref.io_stats
 
 
@@ -230,10 +238,10 @@ def test_write_block_copies_a_mutable_buffer():
 
 def test_restore_copies_a_mutable_image():
     dev = MemoryBlockDevice(block_count=4, track_durability=True)
-    image = bytearray(b"a" * (4 * BS))
-    dev.restore(image)
-    image[:] = b"b" * (4 * BS)
-    assert dev.snapshot() == b"a" * (4 * BS)
+    flat = bytearray(b"a" * (4 * BS))
+    dev.restore(DeviceImage.from_bytes(flat))
+    flat[:] = b"b" * (4 * BS)
+    assert bytes(dev.snapshot()) == b"a" * (4 * BS)
     dev.crash()
     assert dev.read_block(3) == b"a" * BS
 
@@ -241,24 +249,28 @@ def test_restore_copies_a_mutable_image():
 def test_read_block_is_one_block_of_bytes_whatever_holds_it():
     dev = MemoryBlockDevice(block_count=4)
     never_written = dev.read_block(0)
-    dev.restore(b"i" * (4 * BS))
+    image = DeviceImage.from_bytes(b"i" * (4 * BS))
+    dev.restore(image)
     from_base = dev.read_block(1)
     dev.write_block(2, bytearray(b"o" * BS))
     from_overlay = dev.read_block(2)
     for data in (never_written, from_base, from_overlay):
         assert type(data) is bytes and len(data) == BS
     assert (never_written, from_base, from_overlay) == (b"\x00" * BS, b"i" * BS, b"o" * BS)
+    # The stored object itself, not a copy of it.
+    assert from_base is image.blocks[1] and dev.read_block(2) is from_overlay
 
 
 def test_snapshot_of_an_unwritten_restore_is_the_image_itself():
-    image = b"i" * (4 * BS)
+    image = DeviceImage.from_bytes(b"i" * (4 * BS))
     dev = MemoryBlockDevice(block_count=4, track_durability=True)
     dev.restore(image)
     assert dev.snapshot() is image
     dev.write_block(0, b"w" * BS)
     dev.flush()
     materialised = dev.snapshot()
-    assert materialised == b"w" * BS + b"i" * (3 * BS)
+    assert bytes(materialised) == b"w" * BS + b"i" * (3 * BS)
+    assert materialised.blocks[1] is image.blocks[1]  # unwritten blocks are shared
     assert dev.snapshot() is materialised  # re-based: the second one is free
 
 
@@ -268,9 +280,9 @@ def test_snapshot_with_unflushed_writes_keeps_the_durable_view():
     dev.flush()
     dev.write_block(0, b"v" * BS)
     dev.write_block(1, b"v" * BS)
-    assert dev.snapshot() == b"v" * (2 * BS) + b"\x00" * (2 * BS)
+    assert bytes(dev.snapshot()) == b"v" * (2 * BS) + b"\x00" * (2 * BS)
     dev.crash()
-    assert dev.snapshot() == b"d" * BS + b"\x00" * (3 * BS)
+    assert bytes(dev.snapshot()) == b"d" * BS + b"\x00" * (3 * BS)
 
 
 def _allocated_by(action) -> int:
@@ -288,9 +300,18 @@ def _allocated_by(action) -> int:
 BIG_BLOCKS = 16384  # 64 MiB
 
 
+def _big_device_with_written_blocks(written: int = 1000) -> MemoryBlockDevice:
+    """A 64 MiB device with ``written`` distinct non-zero blocks spread over it."""
+    dev = MemoryBlockDevice(block_count=BIG_BLOCKS, track_durability=True)
+    for index in range(written):
+        dev.write_block(index * (BIG_BLOCKS // written), (index + 1).to_bytes(4, "little") * (BS // 4))
+    dev.flush()
+    return dev
+
+
 def test_restoring_one_image_into_many_devices_shares_it():
     """The ratchet against whole-image copies coming back."""
-    image = bytes(BIG_BLOCKS * BS)
+    image = _big_device_with_written_blocks().snapshot()
     devices = []
 
     def restore_eight():
@@ -303,10 +324,86 @@ def test_restoring_one_image_into_many_devices_shares_it():
     assert all(dev.snapshot() is image for dev in devices)
 
 
+def test_snapshot_allocates_in_proportion_to_written_blocks():
+    """The ratchet against the flat image coming back: imaging a 64 MiB
+    device that holds about a thousand blocks costs a block map."""
+    dev = _big_device_with_written_blocks()
+    image = None
+
+    def snapshot():
+        nonlocal image
+        image = dev.snapshot()
+
+    assert _allocated_by(snapshot) < 1 << 20
+    assert len(image) == BIG_BLOCKS * BS and len(image.blocks) == 1000
+
+
+# ----------------------------------------------------------------------
+# the image's own contract
+
+
+def test_a_zero_write_equals_no_write():
+    untouched = MemoryBlockDevice(block_count=4)
+    zeroed = MemoryBlockDevice(block_count=4)
+    zeroed.write_block(2, b"z" * BS)
+    zeroed.write_block(2, bytearray(BS))
+    zeroed.write_block(3, bytes(BS))
+    assert zeroed.snapshot() == untouched.snapshot()
+    assert not zeroed.snapshot().blocks
+    # Zeros written over a base block drop it from the next image.
+    zeroed.restore(DeviceImage.from_bytes(b"b" * (4 * BS)))
+    for block in range(4):
+        zeroed.write_block(block, bytes(BS))
+    assert zeroed.snapshot() == untouched.snapshot() == DeviceImage.from_bytes(bytes(4 * BS))
+
+
+def test_equal_contents_give_equal_images():
+    direct = MemoryBlockDevice(block_count=4)
+    direct.write_block(1, b"b" * BS)
+    roundabout = MemoryBlockDevice(block_count=4, track_durability=True)
+    roundabout.write_block(1, b"a" * BS)
+    roundabout.flush()
+    roundabout.write_block(1, bytearray(b"b" * BS))
+    roundabout.write_block(2, b"c" * BS)
+    roundabout.write_block(2, bytes(BS))
+    first, second = direct.snapshot(), roundabout.snapshot()
+    assert first is not second and first == second
+    assert first.digest() == second.digest()
+    assert DeviceImage.from_bytes(bytes(first)) == first
+    assert first != DeviceImage(BS, 4) and first.digest() != DeviceImage(BS, 4).digest()
+    assert DeviceImage(BS, 4) != DeviceImage(BS, 5)  # geometry is part of the image
+
+
+def test_an_image_is_never_mutated():
+    dev = MemoryBlockDevice(block_count=4, track_durability=True)
+    dev.write_block(0, b"x" * BS)
+    image = dev.snapshot()
+    with pytest.raises(TypeError):
+        image.blocks[1] = b"y" * BS
+    with pytest.raises(TypeError):
+        del image.blocks[0]
+    # A device written after restore leaves the image it shares alone.
+    dev.restore(image)
+    dev.write_block(0, b"w" * BS)
+    dev.write_block(1, b"w" * BS)
+    dev.flush()
+    dev.write_block(2, b"u" * BS)
+    dev.snapshot()
+    dev.crash()
+    dev.snapshot()
+    assert dict(image.blocks) == {0: b"x" * BS}
+    assert bytes(image) == b"x" * BS + bytes(3 * BS)
+    # Nor does a caller scribbling on the buffer it built an image from.
+    buffer = bytearray(b"x" * BS)
+    built = DeviceImage(BS, 4, {0: buffer})
+    buffer[:] = b"y" * BS
+    assert built == image
+
+
 @pytest.mark.parametrize("flushed", [8, 512])
 def test_crash_allocates_in_proportion_to_flushed_blocks(flushed):
     dev = MemoryBlockDevice(block_count=BIG_BLOCKS, track_durability=True)
-    dev.restore(bytes(BIG_BLOCKS * BS))
+    dev.restore(DeviceImage(BS, BIG_BLOCKS))
     for block in range(flushed):
         dev.write_block(block * 7, b"f" * BS)
     dev.flush()

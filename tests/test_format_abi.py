@@ -123,7 +123,7 @@ class TestGoldenVectors:
 
         device = MemoryBlockDevice(block_count=2048)
         mkfs(device)
-        assert sha(device.snapshot()) == "1da1f78b0607975572d2ec9fd5ede56d8cb7d683f58f3aefd8606526572ade1a"
+        assert sha(bytes(device.snapshot())) == "1da1f78b0607975572d2ec9fd5ede56d8cb7d683f58f3aefd8606526572ade1a"
 
 
 def _regenerate():  # pragma: no cover — developer helper
@@ -146,7 +146,7 @@ def _regenerate():  # pragma: no cover — developer helper
     print("dirblock:", sha(block.to_block()))
     device = MemoryBlockDevice(block_count=2048)
     mkfs(device)
-    print("image:", sha(device.snapshot()))
+    print("image:", sha(bytes(device.snapshot())))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,7 +12,7 @@ from repro.api import OpenFlags
 from repro.blockdev.device import MemoryBlockDevice
 from repro.blockdev.faults import DeviceFaultPlan, FaultyBlockDevice
 from repro.core.supervisor import RAEConfig, RAEFilesystem
-from repro.errors import DeviceError, FsError, RecoveryFailure
+from repro.errors import FsError, RecoveryFailure
 from repro.fsck import Fsck
 from repro.ondisk.layout import DiskLayout
 from repro.ondisk.mkfs import mkfs
@@ -67,8 +67,11 @@ def test_persistent_read_error_fails_recovery_honestly():
     plan.add_read_error(block=physical, times=1000)
 
     fd = fs.open("/data")
-    with pytest.raises((RecoveryFailure, DeviceError)):
+    with pytest.raises(RecoveryFailure):
         fs.read(fd, 8)
+    assert fs.stats.recovery.failures == 1
+    assert fs.forensics.last["outcome"] == "failure"
+    assert fs.forensics.last["failure"]["phase"] == "replay"
 
 
 def test_sticky_corruption_repaired_by_journal_replay():

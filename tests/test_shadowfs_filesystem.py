@@ -9,7 +9,7 @@ from repro.blockdev.device import MemoryBlockDevice
 from repro.blockdev.faults import DeviceFaultPlan, FaultyBlockDevice
 from repro.errors import DeviceError, Errno, FsError, InvariantViolation
 from repro.ondisk.image import read_inode, write_inode
-from repro.ondisk.inode import FileType
+from repro.ondisk.inode import N_DIRECT, FileType
 from repro.ondisk.layout import BLOCK_SIZE, ROOT_INO
 from repro.ondisk.mkfs import mkfs
 from repro.shadowfs.checks import CheckLevel
@@ -53,6 +53,57 @@ class TestNeverWrites:
         with pytest.raises(FsError) as e:
             shadow.fsync(fd, opseq=seq())
         assert e.value.errno == Errno.EINVAL
+
+
+class TestInodePutOncePerOp:
+    """An op writes each inode it changes once, however many blocks it
+    maps: a put per mapped block would rebuild the inode-table block
+    once per block."""
+
+    @staticmethod
+    def _puts(shadow, ino, action) -> int:
+        puts = []
+        put_slot = shadow._put_slot
+
+        def counting(slot_ino, slot):
+            puts.append(slot_ino)
+            put_slot(slot_ino, slot)
+
+        shadow._put_slot = counting
+        try:
+            action()
+        finally:
+            del shadow._put_slot
+        return puts.count(ino)
+
+    def test_direct_block_write(self, shadow, seq):
+        fd = shadow.open("/f", OpenFlags.CREAT, opseq=seq())
+        ino = shadow.stat("/f").ino
+        assert self._puts(shadow, ino, lambda: shadow.write(fd, b"d" * (8 * BLOCK_SIZE), opseq=seq())) == 1
+        assert shadow.stat("/f").size == 8 * BLOCK_SIZE
+
+    def test_write_that_allocates_the_indirect_block(self, shadow, seq):
+        fd = shadow.open("/f", OpenFlags.CREAT, opseq=seq())
+        shadow.write(fd, b"d" * (N_DIRECT * BLOCK_SIZE), opseq=seq())
+        ino = shadow.stat("/f").ino
+        assert not shadow._iget(ino).inode.indirect
+        assert self._puts(shadow, ino, lambda: shadow.write(fd, b"i" * (2 * BLOCK_SIZE), opseq=seq())) == 1
+        assert shadow._iget(ino).inode.indirect
+        shadow.lseek(fd, N_DIRECT * BLOCK_SIZE, 0, opseq=seq())
+        assert shadow.read(fd, 2 * BLOCK_SIZE, opseq=seq()) == b"i" * (2 * BLOCK_SIZE)
+
+    def test_directory_growth(self, shadow, seq):
+        shadow.mkdir("/d", opseq=seq())
+        ino = shadow.stat("/d").ino
+        names = (f"{index:03d}" + "n" * 200 for index in range(1000))
+        name = next(names)
+        while shadow._dir_insert_cost(shadow._iget(ino), name) == 0:
+            shadow.close(shadow.open(f"/d/{name}", OpenFlags.CREAT, opseq=seq()), opseq=seq())
+            name = next(names)
+        assert shadow.stat("/d").size == BLOCK_SIZE
+        assert self._puts(shadow, ino, lambda: shadow.open(f"/d/{name}", OpenFlags.CREAT, opseq=seq())) == 1
+        assert shadow.stat("/d").size == 2 * BLOCK_SIZE
+        assert name in shadow.readdir("/d")
 
 
 class TestChecks:

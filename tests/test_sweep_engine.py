@@ -4,6 +4,7 @@ and the full-sweep acceptance — every recorded write and flush of every
 scenario, crashed under both kinds, comes back clean, and every
 durability function issues at least one crashed call."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -12,6 +13,7 @@ from repro.basefs.filesystem import BaseFilesystem
 from repro.blockdev.device import MemoryBlockDevice
 from repro.errors import KernelBug
 from repro.ondisk.mkfs import mkfs
+from repro.sweep.cli import main as sweep_main
 from repro.sweep.device import (
     FAIL_STOP,
     FLUSH,
@@ -321,3 +323,27 @@ class TestFullSweepAcceptance:
     def test_every_durability_function_issues_a_crashed_call(self, tier1_sweep):
         _, _, crashed_in = tier1_sweep
         assert DURABILITY_FUNCTIONS - crashed_in == set()
+
+
+class TestExploredReport:
+    """What the sweep explored, report-only: the cases run and the
+    distinct final durable images they left."""
+
+    def test_distinct_final_images_are_counted_by_content(self):
+        config = _quick_config(ops=("mkfs", "inode-repair"))
+        cases = SweepEngine(config).build_cases()
+        engine = SweepEngine(config)
+        distinct = []
+        for case in cases:
+            image = engine.run_case(case).image
+            if image is not None and image not in distinct:
+                distinct.append(image)
+        report = SweepEngine(config).run(cases)
+        assert 1 < len(report.image_digests) == len(distinct) < len(cases)
+        assert all(result.image is None for result in report.results)
+
+    def test_cli_summary_ends_with_the_explored_line(self, capsys):
+        assert sweep_main(["--smoke", "--ops", "mkfs", "--no-minimize"]) == 0
+        *_, summary, explored = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"\d+ cases in [\d.]+ s \([\d.]+ cases/s, traces included\)", summary)
+        assert re.fullmatch(r"explored: [\d.]+ cases/s, \d+ distinct final durable images", explored)
